@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix bench-smoke bench-json profile profile-shard alloc-gate ns-gate
+.PHONY: build test test-race vet lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix fuzz-smoke bench-smoke bench-json profile profile-shard alloc-gate ns-gate
 
 build:
 	$(GO) build ./...
@@ -55,13 +55,12 @@ fault-matrix:
 # Shard-count matrix (DESIGN.md §2.3–2.4) under the race detector: the
 # double-run determinism harness at kernel shards 1/2/4, the shard-count
 # invariance proofs (goldens, probed run, 50-seed faulted runs), the
-# full-stack windowed-mode proofs (fig9a/fig13 goldens, probe stream, and
-# 50-seed faulted runs bit-identical to lockstep), the 108K- and
-# 1M-rank parallel-window halo workloads against their lockstep oracles,
+# 108K- and 1M-rank parallel-window halo workloads against their
+# lockstep oracles,
 # and the network-level shard-partition properties (route-cache fill
 # hammer, 50-seed per-link occupancy parity, cross-traffic conservation).
 shard-matrix:
-	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestShardCountInvariance|TestFaultedShardInvariance|TestWorkerCountInvariance|TestShardScale|TestWindowed' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestShardCountInvariance|TestFaultedShardInvariance|TestWorkerCountInvariance|TestShardScale' ./internal/bench/
 	$(GO) test -race -count=1 -run 'TestLinkOccupancyParity|TestLinkTrafficConservation|TestRouteFillRace' ./internal/gemini/
 
 # Node-failure recovery matrix (DESIGN.md §7) under the race detector:
@@ -69,11 +68,17 @@ shard-matrix:
 # rendezvous transfer, partition-heal, kill under both strategies — each
 # double-run for bit-identical replay), the 200-seed random kill/partition
 # failover property test (exactly-once delivery, per-connection FIFO,
-# pools drained), the checkpoint round-trip proof at kernel shards 1/2/4
-# in lockstep and windowed modes, and the strategy unit tests.
+# pools drained), the checkpoint round-trip proof at lockstep kernel
+# shards 1/2/4, and the strategy unit tests.
 resilience-matrix:
-	$(GO) test -race -count=1 -run 'TestResilience|TestWindowedCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestResilience|TestLockstepCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
+
+# Bounded fuzzing pass: the gap-filling resource against its linear
+# sorted-slice reference (the checked-in seed corpus under
+# internal/sim/testdata/fuzz also runs in every plain `go test`).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzGapResource -fuzztime 10s ./internal/sim/
 
 # Quick microbenchmark pass over the kernel hot paths plus the end-to-end
 # fig9a wall-clock benchmark.
@@ -81,14 +86,14 @@ bench-smoke:
 	$(GO) test -run - -bench 'BenchmarkEngineScheduleFire|BenchmarkGapResourceAcquire' -benchtime 100000x ./internal/sim/
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
 
-# Full benchmark suite (figure wall-clock + sharded/windowed-kernel
+# Full benchmark suite (figure wall-clock + sharded-kernel
 # scaling + kernel microbenchmarks + recovery-strategy killed paths) as
 # JSON, with the recorded pre-optimization baseline alongside. Each entry
 # is the mean of 5 repeated runs with the sample stddev recorded. The
 # output file tracks the allocation discipline, the PR 6 shard-scaling
-# work, the PR 8 shard-local network model (windowed full-stack and
-# shardscale entries), and the PR 10 resilience machinery (team failover
-# and checkpoint rollback entries); the nsgate run afterwards fails the
+# work, the shard-local network model (shardscale entries), and the
+# resilience machinery (team failover and checkpoint rollback
+# entries); the nsgate run afterwards fails the
 # build if fig9a's fresh mean regresses more than 3 recorded stddevs over
 # the checked-in PR 6 level.
 bench-json:
@@ -118,8 +123,8 @@ profile:
 # Barrier cost shows up under ShardedEngine.RunParallel /
 # mergeOutboxes / Network.applyReservations; per-shard event work under
 # Engine.RunUntil. A healthy profile has the barrier functions in the
-# low single-digit percent — growth there means cross-shard traffic (or
-# flap replays) are defeating the shard-local booking fast path.
+# low single-digit percent — growth there means cross-shard traffic is
+# defeating the shard-local booking fast path.
 profile-shard:
 	$(GO) test -run - -bench BenchmarkShardScale -benchtime 20x \
 		-cpuprofile /tmp/charmgo_shard_cpu.prof -memprofile /tmp/charmgo_shard_mem.prof \

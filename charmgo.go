@@ -129,55 +129,10 @@ type MachineConfig struct {
 	// Shards partitions the simulation kernel into per-node-group shards
 	// (sim.ShardedEngine over a topology slab partition). 0 falls back to
 	// the package default (see SetDefaultShards); 1 keeps the flat engine.
-	// Under the default ShardMode the sharded kernel runs in lockstep, so
-	// results are bit-identical for every value — faulted runs and probe
-	// streams included.
+	// The sharded kernel runs in lockstep, so results are bit-identical
+	// for every value — faulted runs and probe streams included.
 	Shards int
-	// ShardMode selects how a sharded kernel (Shards > 1) executes:
-	// lockstep (the bit-identical oracle order), single-threaded
-	// conservative windows, or parallel windows with one worker goroutine
-	// per shard. ShardLockstep — the zero value — falls back to the
-	// package default (see SetDefaultShardMode). Ignored on flat kernels.
-	ShardMode ShardMode
 }
-
-// ShardMode selects the sharded kernel's execution protocol (see
-// sim.RunMode for the underlying machinery).
-type ShardMode int
-
-const (
-	// ShardLockstep fires the globally minimal event one at a time: the
-	// oracle order, bit-identical to a flat kernel at every shard count.
-	ShardLockstep ShardMode = iota
-	// ShardWindowed executes conservative lookahead windows — shard-local
-	// link booking, barrier-merged cross-shard reservations — on a single
-	// goroutine: the full window protocol without worker concurrency.
-	ShardWindowed
-	// ShardParallel executes the same window protocol with one worker
-	// goroutine per shard. Machine stacks with coordinator-side shared
-	// state must use ShardWindowed; ShardParallel is for shard-confined
-	// workloads (see sim.RunParallel).
-	ShardParallel
-)
-
-// defaultShardMode is the package-wide shard execution mode used when
-// MachineConfig.ShardMode is ShardLockstep (the zero value), mirroring
-// defaultShards: invariance harnesses flip every machine an experiment
-// builds onto the window protocol without threading a knob through each
-// construction site.
-var defaultShardMode = ShardLockstep
-
-// SetDefaultShardMode sets the package-default shard execution mode
-// applied when MachineConfig.ShardMode is the zero value, returning the
-// previous default so callers can restore it.
-func SetDefaultShardMode(m ShardMode) (prev ShardMode) {
-	prev = defaultShardMode
-	defaultShardMode = m
-	return prev
-}
-
-// DefaultShardMode reports the package-default shard execution mode.
-func DefaultShardMode() ShardMode { return defaultShardMode }
 
 // defaultShards is the package-wide shard count used when
 // MachineConfig.Shards is zero. It exists so invariance harnesses can
@@ -217,28 +172,10 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if shards == 0 {
 		shards = defaultShards
 	}
-	mode := cfg.ShardMode
-	if mode == ShardLockstep {
-		mode = defaultShardMode
-	}
 	var eng sim.Kernel
 	if shards > 1 {
 		part := topology.PartitionTorus(topology.Shape(cfg.Nodes), cfg.Nodes, shards)
-		if mode != ShardLockstep {
-			// Window modes need the parallel-capable kernel: per-shard
-			// sequence counters, outboxes, and the conservative lookahead
-			// priced from the partition's minimal cross-shard hop count.
-			se := sim.NewParallelEngine(part.Shards, part.NodeShard(),
-				params.ShardLookahead(part.MinCrossHops()))
-			if mode == ShardWindowed {
-				se.SetRunMode(sim.RunWindowed)
-			} else {
-				se.SetRunMode(sim.RunParallel)
-			}
-			eng = se
-		} else {
-			eng = sim.NewShardedEngine(part.Shards, part.NodeShard())
-		}
+		eng = sim.NewShardedEngine(part.Shards, part.NodeShard())
 	} else {
 		eng = sim.NewEngine()
 	}

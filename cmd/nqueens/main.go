@@ -28,6 +28,10 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "placement seed")
 	)
 	flag.Parse()
+	if err := validate(*n, *threshold, *cores, *layer); err != nil {
+		fmt.Fprintln(os.Stderr, "nqueens:", err)
+		os.Exit(2)
+	}
 
 	nodes := (*cores + 23) / 24
 	for *cores%nodes != 0 {
@@ -59,4 +63,18 @@ func main() {
 	for _, k := range stats.SortedKeys(layerStats) {
 		fmt.Printf("  layer %s = %d\n", k, layerStats[k])
 	}
+}
+
+// validate rejects flag values the machine or the search cannot run.
+func validate(n, threshold, cores int, layer string) error {
+	if cores < 1 {
+		return fmt.Errorf("-cores %d: need at least one core", cores)
+	}
+	if k := charmgo.LayerKind(layer); k != charmgo.LayerUGNI && k != charmgo.LayerMPI {
+		return fmt.Errorf("-layer %q: want %s or %s", layer, charmgo.LayerUGNI, charmgo.LayerMPI)
+	}
+	if threshold < 1 || threshold > n {
+		return fmt.Errorf("-threshold %d: want 1 <= threshold <= n (%d)", threshold, n)
+	}
+	return nil
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"charmgo"
 	"charmgo/internal/bench"
@@ -24,6 +25,10 @@ func main() {
 		intra   = flag.Bool("intra", false, "node-local peers instead of inter-node")
 	)
 	flag.Parse()
+	if err := validate(*minSize, *maxSize); err != nil {
+		fmt.Fprintln(os.Stderr, "pingpong:", err)
+		os.Exit(2)
+	}
 
 	t := stats.NewTable("one-way latency (us)",
 		"size", "pure uGNI", "pure MPI", "charm/ugni", "charm/mpi")
@@ -45,4 +50,12 @@ func main() {
 		)
 	}
 	fmt.Println(t.String())
+}
+
+// validate rejects a size range the doubling sweep cannot walk.
+func validate(minSize, maxSize int) error {
+	if minSize < 1 || minSize > maxSize {
+		return fmt.Errorf("-min %d -max %d: want 1 <= min <= max", minSize, maxSize)
+	}
+	return nil
 }

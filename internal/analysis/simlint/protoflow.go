@@ -26,12 +26,8 @@ import (
 //	//simlint:proto credit return            func doc: returns one credit (-1 together, or 0 on
 //	                                         the no-connection / flight-launch paths)
 //	//simlint:proto credit drain             func doc: re-issues queued sends on EvCreditReturn
-//	//simlint:proto flight record            type doc: a pooled deferred-completion record
-//	//simlint:proto flight oneshot           type doc: a reusable completion record with a
-//	                                         pending flag instead of pool retirement
-//	//simlint:proto flight pending           struct field: the oneshot record's pending marker
+//	//simlint:proto flight record            type doc: a pooled completion record
 //	//simlint:proto flight complete          func doc: a flight's terminal completion callback
-//	//simlint:proto flight defer             func doc: a callback that re-defers the flight
 //	//simlint:proto event kind <class>...    const doc/comment: classifies an event kind; class
 //	                                         "polled" means no dispatcher must handle it
 //	//simlint:proto event dispatch <class> [Kind...]
@@ -77,9 +73,8 @@ type protoCtx struct {
 
 	fns map[string]*protoFn // every in-scope declared function
 
-	creditFields  map[string]string // "pkg.Type.field" -> "window" | "account"
-	flightTypes   map[string]string // "pkg.Type" -> "record" | "oneshot"
-	pendingFields map[string]bool   // "pkg.Type.field" oneshot pending markers
+	creditFields map[string]string // "pkg.Type.field" -> "window" | "account"
+	flightTypes  map[string]bool   // "pkg.Type" of annotated flight records
 
 	eventConsts map[string]*eventKind // "pkg.Name"
 	eventTypes  map[string]bool       // typeKeys that carry labeled kinds
@@ -99,8 +94,7 @@ func protoContext(pass *framework.Pass) *protoCtx {
 			prog:          pass.Prog,
 			fns:           make(map[string]*protoFn),
 			creditFields:  make(map[string]string),
-			flightTypes:   make(map[string]string),
-			pendingFields: make(map[string]bool),
+			flightTypes:   make(map[string]bool),
 			eventConsts:   make(map[string]*eventKind),
 			eventTypes:    make(map[string]bool),
 			refs:          make(map[string]map[string]bool),
@@ -231,8 +225,8 @@ func (c *protoCtx) addGenDecl(pkg *framework.Package, d *ast.GenDecl) {
 				continue
 			}
 			for _, ann := range protoAnnLines(d.Doc, ts.Doc, ts.Comment) {
-				if annIs(ann, "flight") && len(ann) >= 2 && (ann[1] == "record" || ann[1] == "oneshot") {
-					c.flightTypes[pkg.Types.Path()+"."+ts.Name.Name] = ann[1]
+				if annIs(ann, "flight", "record") {
+					c.flightTypes[pkg.Types.Path()+"."+ts.Name.Name] = true
 				}
 			}
 			st, ok := ts.Type.(*ast.StructType)
@@ -248,8 +242,6 @@ func (c *protoCtx) addGenDecl(pkg *framework.Package, d *ast.GenDecl) {
 							c.creditFields[key] = "window"
 						case annIs(ann, "credit", "account"):
 							c.creditFields[key] = "account"
-						case annIs(ann, "flight", "pending"):
-							c.pendingFields[key] = true
 						}
 					}
 				}
@@ -445,21 +437,18 @@ func (c *protoCtx) touchesCredit(id string) bool {
 	return found
 }
 
-// flightPtrType resolves a type to the flight kind ("record"/"oneshot")
-// and type key when it is a pointer to an annotated flight type.
-func (c *protoCtx) flightPtrType(t types.Type) (kind, typeKey string) {
+// isFlightPtr reports whether a type is a pointer to an annotated flight
+// record type.
+func (c *protoCtx) isFlightPtr(t types.Type) bool {
 	if t == nil {
-		return "", ""
+		return false
 	}
 	ptr, ok := t.Underlying().(*types.Pointer)
 	if !ok {
-		return "", ""
+		return false
 	}
 	tk := namedTypeKey(ptr.Elem())
-	if tk == "" {
-		return "", ""
-	}
-	return c.flightTypes[tk], tk
+	return tk != "" && c.flightTypes[tk]
 }
 
 // namedTypeKey renders "pkg/path.TypeName" for (possibly pointer-to)
@@ -505,8 +494,8 @@ func (c *protoCtx) creditRole(id string) string {
 	return ""
 }
 
-// flightRole reports the function's declared flight role ("complete",
-// "defer"), or "".
+// flightRole reports the function's declared flight role ("complete"), or
+// "".
 func (c *protoCtx) flightRole(id string) string {
 	if ann := c.fnAnn(id, "flight"); len(ann) >= 2 {
 		return ann[1]

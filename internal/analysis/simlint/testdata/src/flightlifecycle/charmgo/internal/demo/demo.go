@@ -1,7 +1,6 @@
 // Package demo seeds flightlifecycle fixtures: pooled records must be
-// launched or zeroed-and-retired on every path, completion callbacks
-// must finish the lifecycle their role declares, and oneshot records
-// settle their pending flag instead of returning to a pool.
+// launched or zeroed-and-retired on every path, and completion callbacks
+// must retire them.
 package demo
 
 import "charmgo/internal/mem"
@@ -11,7 +10,7 @@ type queue struct{ n int }
 
 func (q *queue) push() { q.n++ }
 
-// flight is the pooled deferred-completion record.
+// flight is the pooled completion record.
 //
 //simlint:proto flight record
 type flight struct {
@@ -21,15 +20,15 @@ type flight struct {
 
 var pool mem.FreeList[flight]
 
-// transferThen is the engine stand-in: completion callback plus record.
-func transferThen(size int, done func(any), arg any) { done(arg) }
+// enqueue is the engine stand-in: completion callback plus record.
+func enqueue(size int, done func(any), arg any) { done(arg) }
 
 // sendClean launches the flight; the engine owns it from here.
 func sendClean(q *queue) {
 	fl := pool.Get()
 	fl.q = q
 	fl.v = 1
-	transferThen(1, onDone, fl)
+	enqueue(1, onDone, fl)
 }
 
 // sendDrop forgets the flight on the refusal path.
@@ -39,7 +38,7 @@ func sendDrop(q *queue, fail bool) {
 	if fail {
 		return
 	}
-	transferThen(1, onDone, fl)
+	enqueue(1, onDone, fl)
 }
 
 // retireClean zeroes then retires without launching.
@@ -83,60 +82,11 @@ func onDoneLeak(arg any) {
 	fl.q.push()
 }
 
-// onRedefer hands the flight back to the engine, as its role declares.
-//
-//simlint:proto flight defer
-func onRedefer(arg any) {
-	fl := arg.(*flight)
-	fl.v++
-	transferThen(2, onDone, fl)
-}
-
-// onRedeferStall keeps the flight instead of re-launching it.
-//
-//simlint:proto flight defer
-func onRedeferStall(arg any) {
-	fl := arg.(*flight) // want `callback onRedeferStall may exit in state "live"`
-	fl.v++
-}
-
-// recv is the oneshot per-PE record: a pending flag instead of a pool.
-//
-//simlint:proto flight oneshot
-type recv struct {
-	pending bool //simlint:proto flight pending
-	v       int
-}
-
-var slab [4]recv
-
-// armClean arms the oneshot and hands it to the engine.
-func armClean(i int) {
-	st := &slab[i]
-	st.v = 1
-	st.pending = true
-	transferThen(3, onRecv, st)
-}
-
-// armForgot arms the oneshot and drops it.
-func armForgot(i int) {
-	st := &slab[i] // want `flight born here may be dropped`
-	st.pending = true
-}
-
-// onRecv settles the oneshot; later uses are fine.
+// onDoneRelaunch hands the record back to the engine instead of retiring it.
 //
 //simlint:proto flight complete
-func onRecv(arg any) {
-	st := arg.(*recv)
-	st.pending = false
-	st.v = 0
-}
-
-// onRecvStuck never clears the pending flag.
-//
-//simlint:proto flight complete
-func onRecvStuck(arg any) {
-	st := arg.(*recv) // want `callback onRecvStuck may exit in state "pending"`
-	st.v = 9
+func onDoneRelaunch(arg any) {
+	fl := arg.(*flight) // want `callback onDoneRelaunch may exit in state "launched"`
+	fl.v++
+	enqueue(2, onDone, fl)
 }

@@ -146,47 +146,14 @@ func figShardedEntry(id string, shards int) *suiteEntry {
 	}
 }
 
-// figWindowedEntry measures one full-axis experiment regeneration per op
-// with the machine stack running single-threaded conservative windows at
-// the given kernel shard count: the full-stack window-protocol overhead
-// entry of BENCH_PR8.json (virtual-time results stay bit-identical to
-// lockstep — see TestWindowedGoldens).
-func figWindowedEntry(id string, shards int) *suiteEntry {
-	e, ok := Find(id)
-	if !ok {
-		panic("bench: " + id + " experiment missing")
-	}
-	return &suiteEntry{
-		name: fmt.Sprintf("%s_wallclock_windowed%d", id, shards),
-		fn: func(b *testing.B) {
-			prevN := charmgo.SetDefaultShards(shards)
-			prevM := charmgo.SetDefaultShardMode(charmgo.ShardWindowed)
-			defer func() {
-				charmgo.SetDefaultShards(prevN)
-				charmgo.SetDefaultShardMode(prevM)
-			}()
-			opts := Options{Quick: false, Seed: 1, Workers: shards}
-			for i := 0; i < b.N; i++ {
-				e.Run(opts)
-			}
-		},
-	}
-}
-
 // shardScaleEntry measures the fig13-shaped 100K+-rank halo workload on
 // the parallel-window kernel at the given shard count
 // (BenchmarkShardScale's suite twin; virtual-time results are identical
-// at every count). windowed selects the single-threaded window protocol
-// instead of the worker-per-shard one.
-func shardScaleEntry(shards int, windowed bool) *suiteEntry {
-	cfg := ShardScaleConfig{Nodes: 1728, Steps: 4, Shards: shards,
-		Parallel: !windowed, Windowed: windowed}
-	name := fmt.Sprintf("shardscale_shards%d", shards)
-	if windowed {
-		name += "_windowed"
-	}
+// at every count).
+func shardScaleEntry(shards int) *suiteEntry {
+	cfg := ShardScaleConfig{Nodes: 1728, Steps: 4, Shards: shards, Parallel: true}
 	return &suiteEntry{
-		name: name,
+		name: fmt.Sprintf("shardscale_shards%d", shards),
 		fn: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ShardScaleRun(cfg)
@@ -235,11 +202,9 @@ func RunBenchSuite() []BenchResult {
 		entries = append(entries, figShardedEntry("fig9a", shards))
 		entries = append(entries, figShardedEntry("fig13", shards))
 	}
-	entries = append(entries, figWindowedEntry("fig9a", 4))
 	for _, shards := range []int{1, 2, 4} {
-		entries = append(entries, shardScaleEntry(shards, false))
+		entries = append(entries, shardScaleEntry(shards))
 	}
-	entries = append(entries, shardScaleEntry(4, true))
 	entries = append(entries, resilienceEntries()...)
 
 	entries = append(entries, &suiteEntry{name: "engine_schedule_fire", fn: func(b *testing.B) {

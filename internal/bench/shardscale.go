@@ -19,7 +19,7 @@ import (
 // route), cross-shard transfers ride the deferred-reservation path and
 // apply at the window barrier in deterministic (timestamp, shard,
 // emission) order. The checksum folds each halo's *arrival time* in with
-// its value, so a run only matches the lockstep oracle if the windowed
+// its value, so a run only matches the lockstep oracle if the parallel
 // booking produced bit-identical link timings — not merely the same
 // payload values.
 
@@ -40,11 +40,9 @@ type ShardScaleConfig struct {
 	Steps int
 	// Shards partitions the torus; 1 runs the flat-equivalent lockstep.
 	Shards int
-	// Parallel runs conservative windows on worker goroutines; Windowed
-	// runs the same window protocol single-threaded; with neither set the
-	// lockstep merge executes sequentially (the determinism oracle).
+	// Parallel runs conservative windows on worker goroutines; otherwise
+	// the lockstep merge executes sequentially (the determinism oracle).
 	Parallel bool
-	Windowed bool
 }
 
 // ShardScaleResult summarizes a run for the harness and its tests.
@@ -52,7 +50,6 @@ type ShardScaleResult struct {
 	Nodes, Ranks, Shards int
 	Steps                int
 	Parallel             bool
-	Windowed             bool
 	Lookahead            sim.Time
 	End                  sim.Time
 	Fired                uint64
@@ -61,11 +58,8 @@ type ShardScaleResult struct {
 
 func (r ShardScaleResult) String() string {
 	mode := "lockstep"
-	switch {
-	case r.Parallel:
+	if r.Parallel {
 		mode = "parallel"
-	case r.Windowed:
-		mode = "windowed"
 	}
 	return fmt.Sprintf("shardscale: %d nodes / %d ranks, %d steps, %d shards (%s, L=%v): end=%v fired=%d checksum=%016x",
 		r.Nodes, r.Ranks, r.Steps, r.Shards, mode, r.Lookahead, r.End, r.Fired, r.Checksum)
@@ -210,12 +204,9 @@ func ShardScaleRun(cfg ShardScaleConfig) ShardScaleResult {
 	}
 
 	var fired uint64
-	switch {
-	case cfg.Parallel:
+	if cfg.Parallel {
 		fired = se.RunParallel()
-	case cfg.Windowed:
-		fired = se.RunWindowed()
-	default:
+	} else {
 		fired = se.Run()
 	}
 
@@ -225,8 +216,7 @@ func ShardScaleRun(cfg ShardScaleConfig) ShardScaleResult {
 	}
 	return ShardScaleResult{
 		Nodes: cfg.Nodes, Ranks: cfg.Nodes * cfg.RanksPerNode,
-		Shards: cfg.Shards, Steps: cfg.Steps,
-		Parallel: cfg.Parallel, Windowed: cfg.Windowed,
+		Shards: cfg.Shards, Steps: cfg.Steps, Parallel: cfg.Parallel,
 		Lookahead: la, End: se.Now(), Fired: fired, Checksum: sum,
 	}
 }

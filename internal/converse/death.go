@@ -36,10 +36,9 @@ type DeadRoute func(msg *lrts.Message, deadPE int, at sim.Time) (newPE int, ok b
 func (m *Machine) SetDeadRoute(fn DeadRoute) { m.redirect = fn }
 
 // ScheduleNodeKill books a fail-stop of every PE on node at virtual time
-// at. Kills require a lockstep or windowed kernel (the kill mutates
-// coordinator-side scheduler state); rerouting via a DeadRoute
-// additionally requires the flat/lockstep kernel, since a reroute may
-// re-deliver across shard boundaries inside a window.
+// at. The kill and any DeadRoute reroute mutate coordinator-side
+// scheduler state, which is safe because a machine's kernel is flat or
+// lockstep-sharded: one goroutine fires every event.
 func (m *Machine) ScheduleNodeKill(node int, at sim.Time) {
 	if node < 0 || node >= m.net.NumNodes() {
 		panic(fmt.Sprintf("converse: ScheduleNodeKill(%d) on a %d-node machine", node, m.net.NumNodes()))

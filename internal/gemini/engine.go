@@ -91,11 +91,11 @@ func (u *unitEngine) Transfer(dstNode, size int, ready sim.Time) (srcDone, dstAr
 		_, e := u.res.Acquire(ready, u.overhead+ser)
 		return e, e + n.P.LoopbackLatency + u.extra
 	}
-	if n.WillDefer(u.node, dstNode) {
+	if n.willDefer(u.node, dstNode) {
 		// The synchronous form cannot hand back an arrival the barrier
-		// has not computed yet. Any call site that can run inside a
-		// window must branch on WillDefer to TransferThen; failing loudly
-		// here is what keeps an unconverted site from silently booking a
+		// has not computed yet. Only shard-confined workloads run inside
+		// parallel windows, and they book through TransferThen; failing
+		// loudly here keeps any other caller from silently booking a
 		// cross-partition path mid-window.
 		panic("gemini: synchronous Transfer across the shard partition inside a window; use TransferThen")
 	}
@@ -120,7 +120,7 @@ func (u *unitEngine) TransferThen(dstNode, size int, ready sim.Time, done func(a
 	if size < 0 {
 		size = 0
 	}
-	if u.node == dstNode || !n.WillDefer(u.node, dstNode) {
+	if u.node == dstNode || !n.willDefer(u.node, dstNode) {
 		srcDone, dstArrive := u.Transfer(dstNode, size, ready)
 		done(arg, dstArrive)
 		return srcDone
@@ -159,43 +159,14 @@ func (u *unitEngine) Get(target, size int, ready sim.Time) (reqDone, dataArrive 
 		_, e := u.res.Acquire(ready, u.overhead+ser)
 		return e, e + n.P.LoopbackLatency + u.extra
 	}
-	if n.WillDefer(u.node, target) {
-		panic("gemini: synchronous Get across the shard partition inside a window; use GetThen")
+	if n.willDefer(u.node, target) {
+		panic("gemini: synchronous Get across the shard partition inside a window")
 	}
 
 	es, ee := u.res.Acquire(ready, u.overhead+serUnit)
 	reqArrive := es + u.overhead + n.pathLatency(u.node, target)
 	dataArrive = n.bookPath(target, u.node, size, serUnit, reqArrive)
 	return ee, dataArrive + u.extra
-}
-
-// GetThen is Get with the data arrival delivered through done(arg,
-// dataArrive). The data path's source is the *target* node — possibly a
-// different shard in either direction — so a cross-partition read books
-// the requester's engine immediately and defers the return path to the
-// barrier. Note the emitting shard is the requester's (the event that
-// issued the read), not the target's: emission order within one shard's
-// box must follow that shard's execution order.
-//
-//simlint:hotpath
-func (u *unitEngine) GetThen(target, size int, ready sim.Time, done func(any, sim.Time), arg any) (reqDone sim.Time) {
-	n := u.net
-	if size < 0 {
-		size = 0
-	}
-	if u.node == target || !n.WillDefer(u.node, target) {
-		reqDone, dataArrive := u.Get(target, size, ready)
-		done(arg, dataArrive)
-		return reqDone
-	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
-	serUnit := sim.DurationOf(size, u.bw)
-	es, ee := u.res.Acquire(ready, u.overhead+serUnit)
-	reqArrive := es + u.overhead + n.pathLatency(u.node, target)
-	n.deferPath(int(u.shard), target, u.node, size, serUnit, reqArrive, u.extra, done, arg)
-	return ee
 }
 
 // bookPath advances a message head along the dimension-ordered path,

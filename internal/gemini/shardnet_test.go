@@ -10,7 +10,8 @@ import (
 // This file holds the network-level halves of the shard-partition
 // contract (DESIGN.md §2.4): the route cache's lazy multi-hop fills are
 // race-free from every shard under the parallel workers, per-link
-// occupancy timelines under windows are identical to the flat engine's
+// occupancy timelines under lockstep and parallel windows are identical
+// to the flat engine's
 // for link-disciplined traffic (50 random seeds, faulted runs included),
 // and arbitrary cross-traffic still conserves per-link occupancy totals
 // and replays deterministically.
@@ -21,11 +22,10 @@ type netMode int
 const (
 	netFlat     netMode = iota // plain sim.Engine
 	netLockstep                // sharded kernel, lockstep merge
-	netWindowed                // sharded kernel, single-threaded windows
 	netParallel                // sharded kernel, worker-per-shard windows
 )
 
-var netModeName = [...]string{"flat", "lockstep", "windowed", "parallel"}
+var netModeName = [...]string{"flat", "lockstep", "parallel"}
 
 // xferOp is one transfer (or, in the flap list, one link outage) for the
 // property workloads.
@@ -92,12 +92,9 @@ func runLinkWorkload(nodes, shards int, mode netMode, ops []xferOp, flaps []xfer
 		launches[i] = launchOp{net: net, op: &ops[i], rec: &recs[i]}
 		eng.AtNodeArg(ops[i].src, ops[i].at, fireLaunch, &launches[i])
 	}
-	switch mode {
-	case netWindowed:
-		se.RunWindowed()
-	case netParallel:
+	if mode == netParallel {
 		se.RunParallel()
-	default:
+	} else {
 		eng.Run()
 	}
 	return net.LinkOccupancies(nil), recs
@@ -191,8 +188,8 @@ func drawCrossTraffic(seed uint64, nodes int) (ops []xferOp, flaps []xferOp) {
 // random seeds (half of them faulted with link outages), a randomized
 // link-disciplined halo workload produces bit-identical per-link
 // occupancy timelines — busy total, last-free time, booking count — and
-// bit-identical per-transfer arrivals under the lockstep, windowed, and
-// parallel kernels at shards 2 and 4, compared with the flat engine.
+// bit-identical per-transfer arrivals under the lockstep and parallel
+// kernels at shards 2 and 4, compared with the flat engine.
 // Link-disciplined traffic is the régime the partition preserves exactly:
 // each directional link's bookings all come from one source router, in
 // that router's event order, whether they book inline or at the barrier.
@@ -207,7 +204,7 @@ func TestLinkOccupancyParity(t *testing.T) {
 		ops, flaps := drawHaloWorkload(seed, nodes, topo)
 		baseOcc, baseRecs := runLinkWorkload(nodes, 1, netFlat, ops, flaps)
 		for _, shards := range []int{2, 4} {
-			for _, mode := range []netMode{netLockstep, netWindowed, netParallel} {
+			for _, mode := range []netMode{netLockstep, netParallel} {
 				occ, recs := runLinkWorkload(nodes, shards, mode, ops, flaps)
 				for i := range baseOcc {
 					if occ[i] != baseOcc[i] {
@@ -231,9 +228,9 @@ func TestLinkOccupancyParity(t *testing.T) {
 // multi-hop contention, where simultaneous contenders on a shared link
 // may swap slots between the inline and barrier-deferred booking paths.
 // Three guarantees must still hold for every seed: lockstep mode remains
-// fully flat-identical (occupancies and arrivals), window modes conserve
-// every link's occupancy totals (busy time and booking count — the same
-// messages crossed the same wires), and window modes replay
+// fully flat-identical (occupancies and arrivals), parallel windows
+// conserve every link's occupancy totals (busy time and booking count —
+// the same messages crossed the same wires), and parallel windows replay
 // bit-identically run over run.
 func TestLinkTrafficConservation(t *testing.T) {
 	const nodes = 64
@@ -245,7 +242,7 @@ func TestLinkTrafficConservation(t *testing.T) {
 		ops, flaps := drawCrossTraffic(seed, nodes)
 		baseOcc, baseRecs := runLinkWorkload(nodes, 1, netFlat, ops, flaps)
 		for _, shards := range []int{2, 4} {
-			for _, mode := range []netMode{netLockstep, netWindowed, netParallel} {
+			for _, mode := range []netMode{netLockstep, netParallel} {
 				occ, recs := runLinkWorkload(nodes, shards, mode, ops, flaps)
 				if mode == netLockstep {
 					for i := range baseOcc {

@@ -30,9 +30,8 @@ type CheckpointConfig struct {
 	// the kernel clock at fail-time + DetectDelay + RestartCost
 	// (defaults 50µs and 200µs).
 	DetectDelay, RestartCost sim.Time
-	// Shards and ShardMode select the kernel (kills require lockstep).
-	Shards    int
-	ShardMode charmgo.ShardMode
+	// Shards partitions the kernel (lockstep; 0 or 1 keeps it flat).
+	Shards int
 	// Probe optionally observes every phase's kernel alongside the
 	// strategy's own fault timeline.
 	Probe charmgo.Probe
@@ -124,7 +123,6 @@ func RunCheckpoint(cfg CheckpointConfig) CheckpointResult {
 			Layer:        cfg.Layer,
 			Faults:       &sched,
 			Shards:       cfg.Shards,
-			ShardMode:    cfg.ShardMode,
 			Probe:        probe,
 			Resume:       resume,
 		})

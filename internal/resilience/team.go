@@ -35,10 +35,8 @@ type TeamConfig struct {
 	// charmgo.MachineConfig.Faults. Kills must be team-safe (at most
 	// one replica per team), e.g. drawn with Killable = plane B.
 	Faults *fault.Schedule
-	// Shards and ShardMode select the kernel. Kills require lockstep;
-	// the DeadRoute reroute additionally requires flat/lockstep.
-	Shards    int
-	ShardMode charmgo.ShardMode
+	// Shards partitions the kernel (lockstep; 0 or 1 keeps it flat).
+	Shards int
 	// Probe optionally observes the kernel alongside the strategy's
 	// own fault timeline.
 	Probe charmgo.Probe
@@ -156,7 +154,6 @@ func RunTeam(cfg TeamConfig) TeamResult {
 		UGNI:         cfg.UGNI,
 		Faults:       cfg.Faults,
 		Shards:       cfg.Shards,
-		ShardMode:    cfg.ShardMode,
 		Probe:        noteProbe(tl, cfg.Probe),
 	})
 	st := &teamState{

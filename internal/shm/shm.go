@@ -120,17 +120,6 @@ func (l *Loopback) Transfer(dst, size int, ready sim.Time) (srcDone, dstArrive s
 	return ready, ready + l.m.NotifyLatency
 }
 
-// TransferThen implements the deferred-completion form. Shared memory is
-// strictly intra-node — never cross-shard — so the callback always runs
-// synchronously.
-//
-//simlint:hotpath
-func (l *Loopback) TransferThen(dst, size int, ready sim.Time, done func(any, sim.Time), arg any) (srcDone sim.Time) {
-	l.transfers++
-	done(arg, ready+l.m.NotifyLatency)
-	return ready
-}
-
 // Enqueue schedules a completion callback on the machine's event loop.
 //
 //simlint:hotpath

@@ -28,6 +28,7 @@ type GapResource struct {
 	count     int
 	busyTotal Time
 	acquires  uint64
+	freeAt    Time // end of the last interval ever booked (pruning never lowers it)
 	probe     Probe
 }
 
@@ -90,6 +91,9 @@ func (r *GapResource) Acquire(at, dur Time) (start, end Time) {
 	start, end = s, s+dur
 	if dur > 0 {
 		r.insert(start, end)
+		if end > r.freeAt {
+			r.freeAt = end
+		}
 	}
 	if r.probe != nil {
 		r.probe.Booking(r, at, start, end)
@@ -361,13 +365,9 @@ func upd(n *gnode) {
 func (r *GapResource) Intervals() int { return r.count }
 
 // FreeAt reports the time after which the resource is idle forever given
-// current bookings (the end of the last interval).
-func (r *GapResource) FreeAt() Time {
-	if r.root == nil {
-		return 0
-	}
-	return r.root.maxE
-}
+// current bookings (the end of the last interval). It does not depend on
+// how far pruning has gone.
+func (r *GapResource) FreeAt() Time { return r.freeAt }
 
 // BusyTotal reports the cumulative booked time.
 func (r *GapResource) BusyTotal() Time { return r.busyTotal }
@@ -395,4 +395,5 @@ func (r *GapResource) Reset() {
 	}
 	r.busyTotal = 0
 	r.acquires = 0
+	r.freeAt = 0
 }

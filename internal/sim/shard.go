@@ -38,45 +38,22 @@ type ShardedEngine struct {
 	cur       int // shard receiving node-less schedules (last to fire)
 	probe     Probe
 
-	// Parallel-window state.
-	parallel  bool
-	lookahead Time
-	handles   []*Shard
-	started   bool
-	running   bool // workers active inside a window (misuse guard)
-	windowEnd Time
-
-	// Window-protocol mode state (see RunMode). mode selects what Run
-	// executes; inWindow marks a single-threaded window in flight
-	// (RunWindowed's analogue of running); windowFloor is the current
-	// window's minimum event time, the conservative lower bound on any
-	// booking made inside it; barriers are the hooks run after every
-	// window's outbox merge (the network model drains its reservation
-	// outboxes here).
-	mode        RunMode
-	inWindow    bool
+	// Parallel-window state. started marks a RunParallel in progress
+	// (workers alive, barriers included); running marks workers active
+	// inside a window (misuse guard); windowFloor is the current window's
+	// minimum event time, the conservative lower bound on any booking
+	// made inside it; barriers are the hooks run after every window's
+	// outbox merge (the network model drains its reservation outboxes
+	// here).
+	parallel    bool
+	lookahead   Time
+	handles     []*Shard
+	started     bool
+	running     bool
+	windowEnd   Time
 	windowFloor Time
 	barriers    []func()
 }
-
-// RunMode selects how a parallel-capable ShardedEngine executes events.
-type RunMode int
-
-const (
-	// RunLockstep fires the globally minimal (time, sequence, shard)
-	// event one at a time on the caller's goroutine — the oracle order.
-	RunLockstep RunMode = iota
-	// RunWindowed executes the conservative window protocol — horizons,
-	// outbox merges, barrier hooks — single-threaded: shards take their
-	// windows sequentially on the caller's goroutine. Subsystems that
-	// defer cross-shard effects to the barrier (the network model's
-	// reservation path) see exactly the windows RunParallel would give
-	// them, with no worker goroutines.
-	RunWindowed
-	// RunParallel executes the same window protocol with one worker
-	// goroutine per shard.
-	RunParallel
-)
 
 // NewShardedEngine returns a lockstep sharded kernel: shards engines over
 // the given node→shard map. Results are bit-identical to a flat Engine
@@ -138,12 +115,6 @@ func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 // ShardOf reports the shard owning a node.
 func (se *ShardedEngine) ShardOf(node int) int { return int(se.nodeShard[node]) }
 
-// CurrentShard reports the shard whose events are executing: meaningful
-// inside a single-threaded window (RunWindowed) and under lockstep;
-// parallel-window workers must not call it — they know their own shard
-// from their handle.
-func (se *ShardedEngine) CurrentShard() int { return se.cur }
-
 // ShardHandle returns the handle workloads use to schedule on a shard in
 // parallel mode.
 func (se *ShardedEngine) ShardHandle(i int) *Shard {
@@ -152,23 +123,6 @@ func (se *ShardedEngine) ShardHandle(i int) *Shard {
 	}
 	return se.handles[i]
 }
-
-// SetRunMode selects what Run executes. Window modes require a
-// parallel-capable engine (NewParallelEngine); a lockstep engine has no
-// outboxes or lookahead to run a window protocol with. The mode may be
-// changed between runs, never inside one.
-func (se *ShardedEngine) SetRunMode(m RunMode) {
-	if m != RunLockstep && !se.parallel {
-		panic("sim: window run modes need NewParallelEngine")
-	}
-	if se.running || se.inWindow {
-		panic("sim: SetRunMode inside a window")
-	}
-	se.mode = m
-}
-
-// Mode reports the configured run mode.
-func (se *ShardedEngine) Mode() RunMode { return se.mode }
 
 // OnBarrier registers fn to run at every window barrier, after the
 // cross-shard outboxes have merged and before the next horizon is
@@ -190,33 +144,27 @@ func (se *ShardedEngine) runBarriers() {
 // now — the condition under which cross-shard effects must buffer
 // (outboxes, reservation lists) and drain at the barrier instead of
 // landing directly.
-func (se *ShardedEngine) Deferring() bool { return se.running || se.inWindow }
+func (se *ShardedEngine) Deferring() bool { return se.running }
 
 // WindowFloor reports the conservative lower bound on the start time of
 // any booking made by in-flight events: the current window's minimum
-// event time in window modes, the global clock in lockstep. GapResources
-// owned by a windowed machine use it as their pruning clock — pruning
-// against the *window floor* instead of the fired-event clock is what
-// keeps barrier-applied reservations (whose start may precede the
-// horizon) inside the prune-safe region.
+// event time while RunParallel is in progress (its barrier hooks
+// included), the global clock otherwise. GapResources on a sharded
+// kernel use it as their pruning clock — pruning against the *window
+// floor* instead of the fired-event clock is what keeps barrier-applied
+// reservations (whose start may precede the horizon) inside the
+// prune-safe region.
 func (se *ShardedEngine) WindowFloor() Time {
-	if se.mode == RunLockstep {
-		return se.now
+	if se.started {
+		return se.windowFloor
 	}
-	return se.windowFloor
+	return se.now
 }
 
 // Now reports the current virtual time (the global clock: the timestamp
 // of the most recently fired event, or the deadline RunUntil advanced
-// to). Inside a single-threaded window this is the executing shard's
-// local clock, so Schedule-relative delays and causality checks see the
-// event's own time exactly as they would under lockstep.
-func (se *ShardedEngine) Now() Time {
-	if se.inWindow {
-		return se.shards[se.cur].now
-	}
-	return se.now
-}
+// to).
+func (se *ShardedEngine) Now() Time { return se.now }
 
 // Fired reports how many events have executed across all shards.
 func (se *ShardedEngine) Fired() uint64 {
@@ -277,42 +225,23 @@ func (se *ShardedEngine) AtArg(t Time, fn func(any), arg any) *Event {
 //
 //simlint:hotpath
 func (se *ShardedEngine) AtNode(node int, t Time, fn func()) *Event {
-	shard := int(se.nodeShard[node])
-	se.checkCross(shard, t)
-	return se.route(shard).At(se.check(t), fn)
+	return se.route(int(se.nodeShard[node])).At(se.check(t), fn)
 }
 
 // AtNodeArg is the closure-free AtNode form.
 //
 //simlint:hotpath
 func (se *ShardedEngine) AtNodeArg(node int, t Time, fn func(any), arg any) *Event {
-	shard := int(se.nodeShard[node])
-	se.checkCross(shard, t)
-	return se.route(shard).AtArg(se.check(t), fn, arg)
+	return se.route(int(se.nodeShard[node])).AtArg(se.check(t), fn, arg)
 }
 
 // check enforces the flat engine's causality panic against the *global*
-// clock (shard-local clocks lag it between their turns; inside a window
-// Now() is the executing shard's clock, i.e. the event's own time).
+// clock (shard-local clocks lag it between their turns).
 func (se *ShardedEngine) check(t Time) Time {
-	if now := se.Now(); t < now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, now))
+	if t < se.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, se.now))
 	}
 	return t
-}
-
-// checkCross is the windowed-mode tripwire: a cross-shard schedule below
-// the window horizon would fire (or miss firing) depending on which
-// shards have already taken their turn this window — results would
-// depend on the shard count. Any cross-shard effect landing inside the
-// window must go through an outbox or a barrier hook instead; anything
-// at or past the horizon is legal, and the conservative lookahead
-// guarantees physically-delayed effects always are.
-func (se *ShardedEngine) checkCross(shard int, t Time) {
-	if se.inWindow && shard != se.cur && t < se.windowEnd {
-		panic(fmt.Sprintf("sim: cross-shard schedule at %v inside window ending %v (defer through the barrier)",
-			t, se.windowEnd))
-	}
 }
 
 func (se *ShardedEngine) route(shard int) *Engine {
@@ -353,16 +282,9 @@ func (se *ShardedEngine) Step() bool {
 	return se.shards[shard].Step()
 }
 
-// Run fires events until none remain and returns the number fired,
-// executing whatever the configured run mode prescribes: lockstep
-// (default), single-threaded conservative windows, or parallel windows.
+// Run fires events in lockstep order until none remain and returns the
+// number fired. Parallel windows run only through RunParallel.
 func (se *ShardedEngine) Run() uint64 {
-	switch se.mode {
-	case RunWindowed:
-		return se.RunWindowed()
-	case RunParallel:
-		return se.RunParallel()
-	}
 	var n uint64
 	for se.Step() {
 		n++
@@ -542,7 +464,6 @@ func (se *ShardedEngine) RunParallel() uint64 {
 	if se.probe != nil {
 		panic("sim: RunParallel with a shared probe; use InstallShardStats")
 	}
-	se.mode = RunParallel
 	se.startWorkers()
 	defer se.stopWorkers()
 	var fired uint64
@@ -573,56 +494,6 @@ func (se *ShardedEngine) RunParallel() uint64 {
 	}
 	// Settle the final clock on the last event actually fired, as Run()
 	// does — the window loop overshoots it by up to lookahead-1.
-	var end Time
-	for _, sh := range se.shards {
-		if sh.fired > 0 && sh.lastAt > end {
-			end = sh.lastAt
-		}
-	}
-	if fired > 0 {
-		se.now = end
-	}
-	return fired
-}
-
-// RunWindowed drives the same conservative window protocol as
-// RunParallel — identical horizons, identical outbox merge, identical
-// barrier hooks — entirely on the caller's goroutine: each window, the
-// shards take their turns sequentially, each firing its local events
-// strictly below the horizon. Cross-shard sends still buffer in the
-// outboxes and deferred reservations still drain at the barrier, so a
-// subsystem sees exactly the protocol RunParallel would hand it; only
-// the goroutines are gone. This is the mode the full machine stack runs
-// under: its layers share coordinator-side state (pools, counters,
-// caches) that one goroutine may touch freely, while every cross-shard
-// effect rides the window machinery that the parallel mode exercises
-// under the race detector.
-func (se *ShardedEngine) RunWindowed() uint64 {
-	if !se.parallel {
-		panic("sim: RunWindowed on a lockstep ShardedEngine")
-	}
-	se.mode = RunWindowed
-	var fired uint64
-	for {
-		_, m, ok := se.pickMin()
-		if !ok {
-			break
-		}
-		horizon := m + se.lookahead
-		se.windowEnd = horizon
-		se.windowFloor = m
-		se.inWindow = true
-		for i := range se.shards {
-			se.cur = i
-			fired += se.shards[i].RunUntil(horizon - 1)
-		}
-		se.inWindow = false
-		if se.now < horizon-1 {
-			se.now = horizon - 1
-		}
-		se.mergeOutboxes()
-		se.runBarriers()
-	}
 	var end Time
 	for _, sh := range se.shards {
 		if sh.fired > 0 && sh.lastAt > end {

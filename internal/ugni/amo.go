@@ -62,11 +62,10 @@ func (g *GNI) AMORead(node, addr int) int64 {
 }
 
 // amoFlight carries one posted AMO from the wire request through the
-// register application at the target NIC: the network's completion
-// callback (amoArrived) schedules amoApply on the target node's shard at
-// the request's arrival, which is where the atomic read-modify-write and
-// the response push happen. Pooled on the owning GNI (g.amoFlights);
-// released when amoApply finishes.
+// register application at the target NIC: PostAMO schedules amoApply on
+// the target node's shard at the request's arrival, which is where the
+// atomic read-modify-write and the response push happen. Pooled on the
+// owning GNI (g.amoFlights); released when amoApply finishes.
 //
 //simlint:proto flight record
 type amoFlight struct {
@@ -76,23 +75,9 @@ type amoFlight struct {
 	at    sim.Time // request arrival at the target NIC
 }
 
-// amoArrived is the network completion callback for the AMO request wire
-// transfer (synchronous intra-shard, barrier-deferred across the
-// partition).
-//
-//simlint:proto flight defer
-func amoArrived(arg any, reqArrive sim.Time) {
-	fl := arg.(*amoFlight)
-	fl.at = reqArrive
-	// The register lives at the remote NIC: apply on its node's shard.
-	fl.g.Net.Eng.AtNodeArg(fl.rNode, reqArrive, amoApply, fl)
-}
-
 // amoApply executes the atomic at the target NIC in arrival order and
 // sends the old value back to the initiator's CQ one control flight
-// later. The response push crosses shards legally without deferral: the
-// control latency back to the initiator is at least the kernel lookahead
-// whenever the pair spans the partition.
+// later.
 //
 //simlint:proto flight complete
 func amoApply(arg any) {
@@ -131,8 +116,10 @@ func (g *GNI) PostAMO(d *AMODesc, at sim.Time) sim.Time {
 	}
 	iNode := g.Net.NodeOf(d.Initiator)
 	rNode := g.Net.NodeOf(d.Remote)
+	_, reqArrive := g.Net.Transfer(iNode, rNode, amoWireBytes, gemini.UnitFMA, at)
 	fl := g.amoFlights.Get()
-	fl.g, fl.d, fl.rNode = g, d, rNode
-	g.Net.TransferThen(iNode, rNode, amoWireBytes, gemini.UnitFMA, at, amoArrived, fl)
+	fl.g, fl.d, fl.rNode, fl.at = g, d, rNode, reqArrive
+	// The register lives at the remote NIC: apply on its node's shard.
+	g.Net.Eng.AtNodeArg(rNode, reqArrive, amoApply, fl)
 	return g.Net.P.HostPostCPU
 }

@@ -33,16 +33,12 @@ func (g *GNI) MsgqSend(src, dst int, tag uint8, size int, payload any, at sim.Ti
 	sNode, dNode := g.Net.NodeOf(src), g.Net.NodeOf(dst)
 	g.connectMsgq(sNode, dNode)
 	// The MSGQ NIC engine is the SMSG hardware view plus the protocol's
-	// per-message surcharge, already folded into the arrival time. The
-	// delivery rides a flight record so a cross-partition send inside a
-	// conservative window can defer to the barrier (see SmsgSendWTag).
-	fl := g.flights.Get()
-	fl.g, fl.remote = g, rx
-	fl.ev = Event{
+	// per-message surcharge, already folded into the arrival time.
+	_, arrive := g.Net.Transfer(sNode, dNode, size, gemini.UnitMSGQ, at)
+	rx.push(arrive+g.Net.P.CQLatency, Event{
 		Type: EvSmsg, Src: src, Dst: dst, Tag: tag, Size: size, Payload: payload,
 		nocredit: true,
-	}
-	g.Net.TransferThen(sNode, dNode, size, gemini.UnitMSGQ, at, flightArrived, fl)
+	})
 	return g.Net.P.HostSendCPU + g.Net.P.MSGQExtraOverhead/2, RCSuccess, nil
 }
 
