@@ -52,15 +52,13 @@ check: build vet lint test test-race
 fault-matrix:
 	$(GO) test -race -count=1 -run 'TestFault' ./internal/bench/
 
-# Shard-count matrix (DESIGN.md §2.3–2.4) under the race detector: the
-# double-run determinism harness at kernel shards 1/2/4, the shard-count
-# invariance proofs (goldens, probed run, 50-seed faulted runs), the
-# 108K- and 1M-rank parallel-window halo workloads against their
-# lockstep oracles,
-# and the network-level shard-partition properties (route-cache fill
-# hammer, 50-seed per-link occupancy parity, cross-traffic conservation).
+# Shard matrix (DESIGN.md §2.3–2.4) under the race detector: the
+# parallel-window halo workload at shards 1/2/4 and at 108K and 1M ranks
+# against its lockstep oracle, the point fan-out worker invariance, and
+# the network-level shard-partition properties (route-cache fill hammer,
+# 50-seed per-link occupancy parity, cross-traffic conservation).
 shard-matrix:
-	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestShardCountInvariance|TestFaultedShardInvariance|TestWorkerCountInvariance|TestShardScale' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestWorkerCountInvariance|TestShardScale' ./internal/bench/
 	$(GO) test -race -count=1 -run 'TestLinkOccupancyParity|TestLinkTrafficConservation|TestRouteFillRace' ./internal/gemini/
 
 # Node-failure recovery matrix (DESIGN.md §7) under the race detector:
@@ -68,17 +66,20 @@ shard-matrix:
 # rendezvous transfer, partition-heal, kill under both strategies — each
 # double-run for bit-identical replay), the 200-seed random kill/partition
 # failover property test (exactly-once delivery, per-connection FIFO,
-# pools drained), the checkpoint round-trip proof at lockstep kernel
-# shards 1/2/4, and the strategy unit tests.
+# pools drained), the machine checkpoint round-trip proof, and the
+# strategy unit tests.
 resilience-matrix:
-	$(GO) test -race -count=1 -run 'TestResilience|TestLockstepCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestResilience|TestMachineCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
 
-# Bounded fuzzing pass: the gap-filling resource against its linear
-# sorted-slice reference (the checked-in seed corpus under
-# internal/sim/testdata/fuzz also runs in every plain `go test`).
+# Bounded fuzzing pass, one invocation per target (-fuzz must match
+# exactly one): the gap-filling resource against its linear sorted-slice
+# reference, and the event engine against its sorted (time, sequence)
+# slice reference. The checked-in seed corpora under
+# internal/sim/testdata/fuzz also run in every plain `go test`.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzGapResource -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzGapResource$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 10s ./internal/sim/
 
 # Quick microbenchmark pass over the kernel hot paths plus the end-to-end
 # fig9a wall-clock benchmark.
@@ -86,12 +87,13 @@ bench-smoke:
 	$(GO) test -run - -bench 'BenchmarkEngineScheduleFire|BenchmarkGapResourceAcquire' -benchtime 100000x ./internal/sim/
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
 
-# Full benchmark suite (figure wall-clock + sharded-kernel
-# scaling + kernel microbenchmarks + recovery-strategy killed paths) as
-# JSON, with the recorded pre-optimization baseline alongside. Each entry
-# is the mean of 5 repeated runs with the sample stddev recorded. The
-# output file tracks the allocation discipline, the PR 6 shard-scaling
-# work, the shard-local network model (shardscale entries), and the
+# Full benchmark suite (figure wall-clock at 1 and 4 point fan-out
+# workers + parallel-window halo scaling + kernel microbenchmarks +
+# recovery-strategy killed paths) as JSON, with the recorded
+# pre-optimization baseline alongside. Each entry is the mean of 5
+# repeated runs with the sample stddev recorded. The output file tracks
+# the allocation discipline, the point fan-out, the shard-local network
+# model (shardscale entries), and the
 # resilience machinery (team failover and checkpoint rollback
 # entries); the nsgate run afterwards fails the
 # build if fig9a's fresh mean regresses more than 3 recorded stddevs over

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"charmgo"
 	"charmgo/internal/bench"
 )
 
@@ -74,22 +73,18 @@ func BenchmarkFig9aWallClock(b *testing.B) {
 	}
 }
 
-// runShardedWallClock benchmarks one full-axis experiment at kernel shard
-// counts 1 and 4, fanning independent data points across as many workers
-// (the lockstep kernel keeps each simulation's results bit-identical; the
-// point fan-out is where the wall-clock scaling comes from, see
-// internal/bench/parallel.go and DESIGN.md §2.3).
-func runShardedWallClock(b *testing.B, id string) {
+// runWorkersWallClock benchmarks one full-axis experiment with 1 and 4
+// point fan-out workers (each simulation's results stay bit-identical;
+// see internal/bench/parallel.go and DESIGN.md §2.3).
+func runWorkersWallClock(b *testing.B, id string) {
 	b.Helper()
 	e, ok := bench.Find(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			prev := charmgo.SetDefaultShards(shards)
-			defer charmgo.SetDefaultShards(prev)
-			opts := bench.Options{Quick: false, Seed: 1, Workers: shards}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := bench.Options{Quick: false, Seed: 1, Workers: workers}
 			for b.Loop() {
 				e.Run(opts)
 			}
@@ -97,13 +92,13 @@ func runShardedWallClock(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkFig9aShards measures full-axis Figure 9(a) wall clock at kernel
-// shards 1 vs 4.
-func BenchmarkFig9aShards(b *testing.B) { runShardedWallClock(b, "fig9a") }
+// BenchmarkFig9aWorkers measures full-axis Figure 9(a) wall clock at 1 vs
+// 4 point fan-out workers.
+func BenchmarkFig9aWorkers(b *testing.B) { runWorkersWallClock(b, "fig9a") }
 
-// BenchmarkFig13Shards measures full-axis Figure 13 wall clock at kernel
-// shards 1 vs 4.
-func BenchmarkFig13Shards(b *testing.B) { runShardedWallClock(b, "fig13") }
+// BenchmarkFig13Workers measures full-axis Figure 13 wall clock at 1 vs 4
+// point fan-out workers.
+func BenchmarkFig13Workers(b *testing.B) { runWorkersWallClock(b, "fig13") }
 
 // BenchmarkFig9b regenerates Figure 9(b) (bandwidth).
 func BenchmarkFig9b(b *testing.B) { runExperiment(b, "fig9b") }

@@ -34,7 +34,6 @@ import (
 	"charmgo/internal/machine/mpimachine"
 	"charmgo/internal/machine/ugnimachine"
 	"charmgo/internal/sim"
-	"charmgo/internal/topology"
 	"charmgo/internal/trace"
 	"charmgo/internal/ugni"
 )
@@ -126,35 +125,7 @@ type MachineConfig struct {
 	// Machine.Checkpoint (the Kernel field), optionally advanced past the
 	// recovery delay with KernelCheckpoint.Advanced.
 	Resume *KernelCheckpoint
-	// Shards partitions the simulation kernel into per-node-group shards
-	// (sim.ShardedEngine over a topology slab partition). 0 falls back to
-	// the package default (see SetDefaultShards); 1 keeps the flat engine.
-	// The sharded kernel runs in lockstep, so results are bit-identical
-	// for every value — faulted runs and probe streams included.
-	Shards int
 }
-
-// defaultShards is the package-wide shard count used when
-// MachineConfig.Shards is zero. It exists so invariance harnesses can
-// force every machine an experiment builds — including ones constructed
-// deep inside the harness — onto a sharded kernel without threading a
-// knob through each construction site.
-var defaultShards = 1
-
-// SetDefaultShards sets the package-default kernel shard count applied
-// when MachineConfig.Shards is zero, returning the previous value so
-// callers can restore it. Values below 1 are treated as 1.
-func SetDefaultShards(n int) (prev int) {
-	prev = defaultShards
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-	return prev
-}
-
-// DefaultShards reports the package-default kernel shard count.
-func DefaultShards() int { return defaultShards }
 
 // NewMachine builds a ready-to-run simulated machine.
 func NewMachine(cfg MachineConfig) *Machine {
@@ -168,22 +139,12 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.CoresPerNode > 0 {
 		params.CoresPerNode = cfg.CoresPerNode
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = defaultShards
-	}
-	var eng sim.Kernel
-	if shards > 1 {
-		part := topology.PartitionTorus(topology.Shape(cfg.Nodes), cfg.Nodes, shards)
-		eng = sim.NewShardedEngine(part.Shards, part.NodeShard())
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	if cfg.Resume != nil {
 		// Restore before attaching the probe or building the network:
 		// construction must happen at the resumed clock (no layer books
 		// events before Run), and probes only observe post-resume work.
-		if err := eng.(sim.Checkpointer).Restore(*cfg.Resume); err != nil {
+		if err := eng.Restore(*cfg.Resume); err != nil {
 			panic(fmt.Sprintf("charmgo: resume: %v", err))
 		}
 	}

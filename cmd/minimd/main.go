@@ -28,6 +28,10 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "decomposition seed")
 	)
 	flag.Parse()
+	if err := validate(*cores, *layer); err != nil {
+		fmt.Fprintln(os.Stderr, "minimd:", err)
+		os.Exit(2)
+	}
 
 	var sys md.System
 	switch strings.ToLower(*system) {
@@ -63,4 +67,15 @@ func main() {
 	if res.Migrations > 0 {
 		fmt.Printf("load balancer migrated %d computes\n", res.Migrations)
 	}
+}
+
+// validate rejects flag values the machine cannot be built from.
+func validate(cores int, layer string) error {
+	if cores < 1 {
+		return fmt.Errorf("-cores %d: need at least one core", cores)
+	}
+	if k := charmgo.LayerKind(layer); k != charmgo.LayerUGNI && k != charmgo.LayerMPI {
+		return fmt.Errorf("-layer %q: want %s or %s", layer, charmgo.LayerUGNI, charmgo.LayerMPI)
+	}
+	return nil
 }

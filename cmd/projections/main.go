@@ -33,9 +33,12 @@ func main() {
 		chunk     = flag.Int("chunk", 1, "nqueens: task bundling")
 		system    = flag.String("system", "dhfr", "md: iapp, dhfr or apoa1")
 		steps     = flag.Int("steps", 3, "md: measured steps")
-		shards    = flag.Int("shards", 1, "kernel shards (profile is identical at any count)")
 	)
 	flag.Parse()
+	if err := validate(*cores, *layer); err != nil {
+		fmt.Fprintln(os.Stderr, "projections:", err)
+		os.Exit(2)
+	}
 
 	nodes := (*cores + 23) / 24
 	for *cores%nodes != 0 {
@@ -47,7 +50,6 @@ func main() {
 		CoresPerNode: *cores / nodes,
 		Layer:        charmgo.LayerKind(*layer),
 		Tracer:       rec,
-		Shards:       *shards,
 	})
 
 	switch *app {
@@ -89,4 +91,15 @@ func pct(part, total sim.Time) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(total)
+}
+
+// validate rejects flag values the machine cannot be built from.
+func validate(cores int, layer string) error {
+	if cores < 1 {
+		return fmt.Errorf("-cores %d: need at least one core", cores)
+	}
+	if k := charmgo.LayerKind(layer); k != charmgo.LayerUGNI && k != charmgo.LayerMPI {
+		return fmt.Errorf("-layer %q: want %s or %s", layer, charmgo.LayerUGNI, charmgo.LayerMPI)
+	}
+	return nil
 }

@@ -52,9 +52,9 @@ func TestAuditJSONGolden(t *testing.T) {
 	sups := []framework.Suppression{
 		{
 			Verb:     "allow",
-			Analyzer: "atomicshared",
-			Pos:      token.Position{Filename: "internal/sim/engine.go", Line: 191, Column: 21},
-			Reason:   "lockstep-only path: parallel mode nils seqp before workers start",
+			Analyzer: "hotpathalloc",
+			Pos:      token.Position{Filename: "internal/sim/engine.go", Line: 159, Column: 3},
+			Reason:   "event pool miss path: allocates only while the free list is empty; steady state recycles",
 		},
 	}
 	got, err := renderAuditJSON(sups)

@@ -18,8 +18,8 @@ import (
 // the expected analyzer.
 //
 // The four shardsafe rows seed the races the parallel-window kernel
-// design forbids: a worker-loop store through the coordinator's shared
-// sequence counter, a dropped atomic on the live-descriptor counter, a
+// design forbids: a worker-loop store into the coordinator's global
+// clock, a dropped atomic on the live-descriptor counter, a
 // second outbox producer, and a direct past-window send through the
 // coordinator. The next two rows automate PR 4's manual ablation on the
 // shipped machine layer: deleting a single descriptor Put, and deleting
@@ -49,7 +49,7 @@ func ablationRows() []ablationRow {
 			file: "internal/sim/shard.go",
 			edits: []edit{{
 				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "n := sh.eng.RunUntil(horizon - 1)\n\t\t\t\t*sh.eng.seqp = n",
+				new: "n := sh.eng.RunUntil(horizon - 1)\n\t\t\t\tsh.se.now = Time(n)",
 			}},
 			analyzer: "shardescape",
 		},
@@ -77,7 +77,7 @@ func ablationRows() []ablationRow {
 			file: "internal/sim/shard.go",
 			edits: []edit{{
 				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "sh.se.AtNode(0, horizon, func() {})\n\t\t\t\tn := sh.eng.RunUntil(horizon - 1)",
+				new: "sh.se.AtArg(horizon, func(any) {}, nil)\n\t\t\t\tn := sh.eng.RunUntil(horizon - 1)",
 			}},
 			analyzer: "windowsend",
 		},

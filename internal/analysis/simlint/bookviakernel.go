@@ -27,8 +27,6 @@ var kernelSurface = map[string]map[string][]string{
 		"ScheduleArg": schedulers,
 		"At":          schedulers,
 		"AtArg":       schedulers,
-		"AtNode":      schedulers,
-		"AtNodeArg":   schedulers,
 	},
 	// The Kernel interface and the sharded engine expose the same booking
 	// verbs; calls through either hit the same PR 1 boundary. Most callers
@@ -38,16 +36,12 @@ var kernelSurface = map[string]map[string][]string{
 		"ScheduleArg": schedulers,
 		"At":          schedulers,
 		"AtArg":       schedulers,
-		"AtNode":      schedulers,
-		"AtNodeArg":   schedulers,
 	},
 	"ShardedEngine": {
 		"Schedule":    schedulers,
 		"ScheduleArg": schedulers,
 		"At":          schedulers,
 		"AtArg":       schedulers,
-		"AtNode":      schedulers,
-		"AtNodeArg":   schedulers,
 	},
 	// Parallel-window shard handles: the kernel itself and the bench
 	// harness's shard-scale workloads (which are the parallel mode's

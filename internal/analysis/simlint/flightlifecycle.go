@@ -131,7 +131,7 @@ func classifyFlight(c *protoCtx, ts *framework.Typestate[string], fi *framework.
 				return true
 			}
 			// Launch: a call passing both a completion function value and the
-			// bare record (AtNodeArg and machine-layer wrappers) hands the
+			// bare record (AtArg and machine-layer wrappers) hands the
 			// record to the engine.
 			if funcValueArg(info, m) {
 				for _, a := range m.Args {

@@ -9,11 +9,12 @@ import (
 
 // TestShardCtxRealTree is the shard-ownership canary over the real
 // module: the worker closure must include the dynamic-dispatch surface
-// (Engine.nextSeq via the captured Shard handle's method set), the owned
+// (Engine.push via the captured Shard handle's method set), the owned
 // region must stay tight (the type filter keeps Andersen conflation from
-// sweeping the program into it), and the lockstep sequence-counter store
-// must resolve to non-owned coordinator state — the finding the audited
-// //simlint:allow in nextSeq suppresses.
+// sweeping the program into it), and a store through the
+// //simlint:shared coordinator backref (Shard.se) must resolve to
+// non-owned coordinator state — the cut that makes such a store a
+// shardescape finding.
 func TestShardCtxRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module points-to in -short mode")
@@ -45,7 +46,7 @@ func TestShardCtxRealTree(t *testing.T) {
 		t.Fatalf("worker literals = %d, want 1 (startWorkers)", len(c.workerLits))
 	}
 	for _, fid := range []string{
-		"charmgo/internal/sim.(Engine).nextSeq",
+		"charmgo/internal/sim.(Engine).push",
 		"charmgo/internal/sim.(Engine).acquire",
 		"charmgo/internal/sim.(Engine).RunUntil",
 		"charmgo/internal/sim.(Shard).Send",
@@ -86,37 +87,42 @@ func TestShardCtxRealTree(t *testing.T) {
 		t.Errorf("owned region has %d objects, want <= %d: the ownership cut is leaking", len(c.owned), total)
 	}
 
-	// The lockstep counter store (*e.seqp = s+1 in nextSeq) must resolve
-	// to non-owned targets: that is the finding the audited allow covers.
+	// Shard.se is the surviving //simlint:shared field: a store through it
+	// (s.se.nodeShard in Shard.Send, taken as an lvalue) must resolve to
+	// non-owned coordinator state.
+	if _, ok := c.sharedFields["charmgo/internal/sim.Shard.se"]; !ok {
+		t.Fatal("missing //simlint:shared annotation on sim.Shard.se")
+	}
 	found := false
 	for _, f := range simPkg.Syntax {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != "Send" || fd.Recv == nil {
+				continue
 			}
-			se, ok := as.Lhs[0].(*ast.StarExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := se.X.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "seqp" {
-				return true
-			}
-			found = true
-			targets := c.pt.WriteTargets(c.passPkg(pass), as.Lhs[0])
-			if len(targets) == 0 {
-				t.Error("seqp store resolves to no targets")
-			}
-			for _, tg := range targets {
-				if c.owned[tg.Obj.ID] {
-					t.Errorf("seqp store target %v is owned; the shared-field cut failed", tg.Obj)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "nodeShard" {
+					return true
 				}
-			}
-			return true
-		})
+				if inner, ok := sel.X.(*ast.SelectorExpr); !ok || inner.Sel.Name != "se" {
+					return true
+				}
+				found = true
+				targets := c.pt.WriteTargets(c.passPkg(pass), sel)
+				if len(targets) == 0 {
+					t.Error("s.se.nodeShard resolves to no targets")
+				}
+				for _, tg := range targets {
+					if c.owned[tg.Obj.ID] {
+						t.Errorf("s.se.nodeShard target %v is owned; the shared-field cut failed", tg.Obj)
+					}
+				}
+				return true
+			})
+		}
 	}
 	if !found {
-		t.Error("no *e.seqp store found in internal/sim")
+		t.Error("no s.se.nodeShard access found in Shard.Send")
 	}
 }

@@ -13,21 +13,21 @@ type Time int64
 // Kernel is the scheduling surface shared by flat and sharded engines.
 type Kernel interface {
 	At(t Time, fn func())
-	AtNode(node int, t Time, fn func())
+	AtArg(t Time, fn func(any), arg any)
 }
 
 // Engine is one shard's private event queue.
 type Engine struct{ now Time }
 
-func (e *Engine) At(t Time, fn func())               {}
-func (e *Engine) AtNode(node int, t Time, fn func()) {}
-func (e *Engine) Schedule(delay Time, fn func())     {}
+func (e *Engine) At(t Time, fn func())                {}
+func (e *Engine) AtArg(t Time, fn func(any), arg any) {}
+func (e *Engine) Schedule(delay Time, fn func())      {}
 
 // ShardedEngine is the coordinator: it routes bookings across shards.
 type ShardedEngine struct{ shards []*Engine }
 
-func (se *ShardedEngine) At(t Time, fn func())               {}
-func (se *ShardedEngine) AtNode(node int, t Time, fn func()) {}
+func (se *ShardedEngine) At(t Time, fn func())                {}
+func (se *ShardedEngine) AtArg(t Time, fn func(any), arg any) {}
 
 // crossEvent is one buffered cross-shard booking.
 type crossEvent struct {
@@ -55,13 +55,13 @@ func (s *Shard) bookLocal(h Time) {
 // bookCoord schedules through the coordinator from worker-reachable
 // code: the routing tables would book into another shard mid-window.
 func (s *Shard) bookCoord(h Time) {
-	s.se.AtNode(1, h, nil) // want `shard worker schedules through the coordinator \(ShardedEngine.AtNode\)`
+	s.se.AtArg(h, nil, nil) // want `shard worker schedules through the coordinator \(ShardedEngine.AtArg\)`
 }
 
 // bookIface schedules through the Kernel interface: dynamic dispatch may
 // resolve to the coordinator.
 func (s *Shard) bookIface(h Time) {
-	s.k.AtNode(1, h, nil) // want `shard worker schedules through the Kernel interface`
+	s.k.AtArg(h, nil, nil) // want `shard worker schedules through the Kernel interface`
 }
 
 // bookPeer reaches another shard's engine via the coordinator: an Engine
@@ -101,7 +101,7 @@ func start(sh *Shard) {
 // coordSide runs at the barrier, outside the worker closure: scheduling
 // through the coordinator is its job.
 func coordSide(se *ShardedEngine, h Time) {
-	se.AtNode(0, h, nil)
+	se.AtArg(h, nil, nil)
 }
 
 // newKernel materializes the kernel.

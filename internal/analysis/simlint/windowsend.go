@@ -33,10 +33,9 @@ var WindowSend = &framework.Analyzer{
 }
 
 // schedMethods is the kernel scheduling surface (engine.go, shard.go,
-// kernel.go): anything that books an event at a node or time.
+// kernel.go): anything that books an event.
 var schedMethods = map[string]bool{
 	"At": true, "AtArg": true,
-	"AtNode": true, "AtNodeArg": true,
 	"Schedule": true, "ScheduleArg": true,
 }
 

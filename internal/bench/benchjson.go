@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"charmgo"
 	"charmgo/internal/fault"
 	"charmgo/internal/resilience"
 	"charmgo/internal/sim"
@@ -120,25 +119,20 @@ func Fig9aWallClock() BenchResult {
 	})
 }
 
-// figShardedEntry builds the suite entry measuring one full-axis
-// experiment regeneration per op with the kernel shard count and the
-// point fan-out both set to shards: the sharded-kernel wall-clock scaling
-// entries of BENCH_PR6.json. The lockstep kernel keeps virtual-time
-// results bit-identical; wall clock improves from the point fan-out
-// (clamped to GOMAXPROCS) on multi-core hosts, while on a single-core
-// recording host the pair documents that sharding costs nothing — the
-// recorded difference sits within the sample stddev (DESIGN.md §2.3).
-func figShardedEntry(id string, shards int) *suiteEntry {
+// figWorkersEntry builds the suite entry measuring one full-axis
+// experiment regeneration per op with the point fan-out set to workers.
+// Virtual-time results are bit-identical at every worker count; wall
+// clock improves from the fan-out (clamped to GOMAXPROCS) on multi-core
+// hosts (DESIGN.md §2.3).
+func figWorkersEntry(id string, workers int) *suiteEntry {
 	e, ok := Find(id)
 	if !ok {
 		panic("bench: " + id + " experiment missing")
 	}
 	return &suiteEntry{
-		name: fmt.Sprintf("%s_wallclock_shards%d", id, shards),
+		name: fmt.Sprintf("%s_wallclock_workers%d", id, workers),
 		fn: func(b *testing.B) {
-			prev := charmgo.SetDefaultShards(shards)
-			defer charmgo.SetDefaultShards(prev)
-			opts := Options{Quick: false, Seed: 1, Workers: shards}
+			opts := Options{Quick: false, Seed: 1, Workers: workers}
 			for i := 0; i < b.N; i++ {
 				e.Run(opts)
 			}
@@ -198,9 +192,9 @@ func RunBenchSuite() []BenchResult {
 		}
 	}}}
 
-	for _, shards := range []int{1, 4} {
-		entries = append(entries, figShardedEntry("fig9a", shards))
-		entries = append(entries, figShardedEntry("fig13", shards))
+	for _, workers := range []int{1, 4} {
+		entries = append(entries, figWorkersEntry("fig9a", workers))
+		entries = append(entries, figWorkersEntry("fig13", workers))
 	}
 	for _, shards := range []int{1, 2, 4} {
 		entries = append(entries, shardScaleEntry(shards))

@@ -44,3 +44,20 @@ func TestKernelProbeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerCountInvariance renders the two paper-scale wall-clock
+// benchmarks' experiments with the point fan-out enabled: results must be
+// byte-identical to the sequential run — workers change wall time only.
+func TestWorkerCountInvariance(t *testing.T) {
+	for _, id := range []string{"fig9a", "fig13"} {
+		e, ok := Find(id)
+		if !ok {
+			t.Fatalf("experiment %q not found", id)
+		}
+		base := RenderTables(e.Run(Options{Quick: true, Seed: 1}))
+		got := RenderTables(e.Run(Options{Quick: true, Seed: 1, Workers: 4}))
+		if got != base {
+			t.Errorf("%s differs at Workers=4:\n--- sequential\n%s--- workers=4\n%s", id, base, got)
+		}
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"charmgo/internal/mem"
 	"charmgo/internal/mpi"
 	"charmgo/internal/sim"
-	"charmgo/internal/topology"
 	"charmgo/internal/ugni"
 )
 
@@ -23,23 +22,10 @@ import (
 const pingIters = 20
 
 // newStack builds a bare network + GNI (no runtime) for pure benchmarks.
-// Like charmgo.NewMachine it honors the package-default shard count, so
-// shard-invariance tests cover the pure paths too.
-func newStack(nodes int) (sim.Kernel, *gemini.Network, *ugni.GNI) {
-	eng := newKernel(nodes)
+func newStack(nodes int) (*sim.Engine, *gemini.Network, *ugni.GNI) {
+	eng := sim.NewEngine()
 	net := gemini.NewNetwork(eng, nodes, gemini.DefaultParams())
 	return eng, net, ugni.New(net)
-}
-
-// newKernel builds the simulation kernel for a bare stack: flat by
-// default, lockstep-sharded when charmgo.SetDefaultShards raised the
-// default.
-func newKernel(nodes int) sim.Kernel {
-	if s := charmgo.DefaultShards(); s > 1 {
-		part := topology.PartitionTorus(topology.Shape(nodes), nodes, s)
-		return sim.NewShardedEngine(part.Shards, part.NodeShard())
-	}
-	return sim.NewEngine()
 }
 
 // closeMachine tears a full runtime stack down after a measurement,

@@ -5,16 +5,15 @@ import (
 	"sync"
 )
 
-// This file is the harness half of the PR 6 wall-clock story. The full
-// machine stack runs on the *lockstep* sharded kernel (bit-identical
-// results at every shard count), which cannot parallelize a single
-// simulation — but an experiment is many independent simulations: one per
-// data point. forEachPoint fans those across worker goroutines. Safety
-// rests on the same audit the sharded kernel needed: every package-level
-// mutable in the simulation stack is either read-only (md systems, ssse
-// solution counts), mutex-protected (mem.SlabCache construction slabs), or
-// atomic (mem.LiveDescriptors) — each simulation is otherwise confined to
-// the goroutine that built it. Determinism rests on slot-by-index writes:
+// This file is the harness half of the wall-clock story. The full machine
+// stack runs on the flat kernel, one goroutine per simulation — but an
+// experiment is many independent simulations: one per data point.
+// forEachPoint fans those across worker goroutines. Safety rests on an
+// audit of shared state: every package-level mutable in the simulation
+// stack is either read-only (md systems, ssse solution counts),
+// mutex-protected (mem.SlabCache construction slabs), or atomic
+// (mem.LiveDescriptors) — each simulation is otherwise confined to the
+// goroutine that built it. Determinism rests on slot-by-index writes:
 // point i always lands in slot i, whatever order the workers finish in, so
 // rendered tables are byte-identical at any worker count.
 

@@ -255,24 +255,22 @@ func ringPhase(m *charmgo.Machine, hops, size int, start sim.Time) (int, sim.Tim
 	return applied, end
 }
 
-// TestLockstepCheckpointRoundTrip proves the checkpoint/restore
-// round-trip bit-identical on the full machine stack at kernel shards
-// 1, 2, 4 (the sharded kernels run lockstep): phase 1 runs to
+// TestMachineCheckpointRoundTrip proves the checkpoint/restore
+// round-trip bit-identical on the full machine stack: phase 1 runs to
 // quiescence and snapshots; a junk workload resumed from the same
 // snapshot mutates freely and is discarded; rolling back (resuming the
 // snapshot again) and replaying phase 2 must reproduce the probe stats
-// and final time of the never-mutated continuation exactly — on every
-// kernel.
-func TestLockstepCheckpointRoundTrip(t *testing.T) {
-	sig := func(shards int, mutate bool) string {
+// and final time of the never-mutated continuation exactly.
+func TestMachineCheckpointRoundTrip(t *testing.T) {
+	sig := func(mutate bool) string {
 		ks1 := charmgo.NewKernelStats()
 		m1 := charmgo.NewMachine(charmgo.MachineConfig{
-			Nodes: 8, CoresPerNode: 1, Probe: ks1, Shards: shards,
+			Nodes: 8, CoresPerNode: 1, Probe: ks1,
 		})
 		h1, _ := ringPhase(m1, 32, 2048, 0)
 		ck, err := m1.Checkpoint()
 		if err != nil {
-			t.Fatalf("checkpoint at shards=%d: %v", shards, err)
+			t.Fatalf("checkpoint: %v", err)
 		}
 		m1.Close()
 		if mutate {
@@ -280,7 +278,7 @@ func TestLockstepCheckpointRoundTrip(t *testing.T) {
 			// rollback below must not see any of this.
 			k := ck.Kernel
 			mj := charmgo.NewMachine(charmgo.MachineConfig{
-				Nodes: 8, CoresPerNode: 1, Shards: shards, Resume: &k,
+				Nodes: 8, CoresPerNode: 1, Resume: &k,
 			})
 			ringPhase(mj, 7, 64, k.Now)
 			mj.Close()
@@ -288,7 +286,7 @@ func TestLockstepCheckpointRoundTrip(t *testing.T) {
 		ks2 := charmgo.NewKernelStats()
 		k := ck.Kernel
 		m2 := charmgo.NewMachine(charmgo.MachineConfig{
-			Nodes: 8, CoresPerNode: 1, Probe: ks2, Shards: shards, Resume: &k,
+			Nodes: 8, CoresPerNode: 1, Probe: ks2, Resume: &k,
 		})
 		h2, end2 := ringPhase(m2, 32, 2048, k.Now)
 		m2.Close()
@@ -300,13 +298,11 @@ func TestLockstepCheckpointRoundTrip(t *testing.T) {
 	}
 
 	live := mem.LiveDescriptors()
-	base := sig(1, false)
-	for _, shards := range []int{1, 2, 4} {
-		for _, mutate := range []bool{false, true} {
-			if got := sig(shards, mutate); got != base {
-				t.Errorf("round trip differs at shards=%d mutate=%v:\n--- base\n%s\n--- got\n%s",
-					shards, mutate, base, got)
-			}
+	base := sig(false)
+	for _, mutate := range []bool{false, true} {
+		if got := sig(mutate); got != base {
+			t.Errorf("round trip differs at mutate=%v:\n--- base\n%s\n--- got\n%s",
+				mutate, base, got)
 		}
 	}
 	if got := mem.LiveDescriptors(); got != live {

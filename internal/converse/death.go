@@ -37,8 +37,8 @@ func (m *Machine) SetDeadRoute(fn DeadRoute) { m.redirect = fn }
 
 // ScheduleNodeKill books a fail-stop of every PE on node at virtual time
 // at. The kill and any DeadRoute reroute mutate coordinator-side
-// scheduler state, which is safe because a machine's kernel is flat or
-// lockstep-sharded: one goroutine fires every event.
+// scheduler state, which is safe because a machine's kernel is flat: one
+// goroutine fires every event.
 func (m *Machine) ScheduleNodeKill(node int, at sim.Time) {
 	if node < 0 || node >= m.net.NumNodes() {
 		panic(fmt.Sprintf("converse: ScheduleNodeKill(%d) on a %d-node machine", node, m.net.NumNodes()))
@@ -50,7 +50,7 @@ func (m *Machine) ScheduleNodeKill(node int, at sim.Time) {
 	n.m = m
 	n.node = node
 	n.at = at
-	m.eng.AtNodeArg(node, at, fireKill, n)
+	m.eng.AtArg(at, fireKill, n)
 }
 
 // killNode is one scheduled fail-stop, pooled so kills book closure-free.

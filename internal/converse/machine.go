@@ -165,7 +165,7 @@ func (m *Machine) Deliver(pe int, msg *lrts.Message, at sim.Time) {
 	n.p = &m.procs[pe]
 	n.msg = msg
 	n.at = at
-	m.eng.AtNodeArg(m.net.NodeOf(pe), at, fireDeliver, n)
+	m.eng.AtArg(at, fireDeliver, n)
 }
 
 // NoteOverhead implements lrts.Host.
@@ -327,7 +327,7 @@ func (p *Proc) kick(at sim.Time) {
 	if f := p.cpu.FreeAt(); f > t {
 		t = f
 	}
-	p.dispatchAt = p.m.eng.AtNodeArg(p.m.net.NodeOf(p.pe), t, fireDispatch, p)
+	p.dispatchAt = p.m.eng.AtArg(t, fireDispatch, p)
 }
 
 // fireDispatch is the closure-free engine callback for scheduler dispatch.

@@ -42,22 +42,19 @@ func (u *unitEngine) Serialization(size int) sim.Time {
 	return sim.DurationOf(size, u.bw)
 }
 
-// Enqueue schedules a completion callback on the machine's event loop,
-// booked into the shard owning this engine's node when the kernel is
-// sharded.
+// Enqueue schedules a completion callback on the machine's event loop.
 //
 //simlint:hotpath
 func (u *unitEngine) Enqueue(at sim.Time, fn func()) {
-	u.net.Eng.AtNode(u.node, at, fn)
+	u.net.Eng.At(at, fn)
 }
 
 // EnqueueArg schedules a closure-free completion callback on the machine's
-// event loop (see sim.Engine.AtArg), booked into the shard owning this
-// engine's node.
+// event loop (see sim.Engine.AtArg).
 //
 //simlint:hotpath
 func (u *unitEngine) EnqueueArg(at sim.Time, fn func(any), arg any) {
-	u.net.Eng.AtNodeArg(u.node, at, fn, arg)
+	u.net.Eng.AtArg(at, fn, arg)
 }
 
 // Transfer books a data movement of size bytes from this engine's node to

@@ -472,7 +472,8 @@ type LinkOccupancy struct {
 
 // LinkOccupancies appends every torus link's occupancy fingerprint to dst
 // in link order — the observable the shard-partition invariance property
-// tests compare between the flat engine and the lockstep/parallel kernels.
+// tests compare between the flat engine and the sharded kernel's lockstep
+// oracle and parallel windows.
 func (n *Network) LinkOccupancies(dst []LinkOccupancy) []LinkOccupancy {
 	for i := range n.links {
 		r := &n.links[i]

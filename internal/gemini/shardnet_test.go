@@ -90,7 +90,11 @@ func runLinkWorkload(nodes, shards int, mode netMode, ops []xferOp, flaps []xfer
 	launches := make([]launchOp, len(ops))
 	for i := range ops {
 		launches[i] = launchOp{net: net, op: &ops[i], rec: &recs[i]}
-		eng.AtNodeArg(ops[i].src, ops[i].at, fireLaunch, &launches[i])
+		if se != nil {
+			se.ShardHandle(se.ShardOf(ops[i].src)).AtArg(ops[i].at, fireLaunch, &launches[i])
+		} else {
+			eng.AtArg(ops[i].at, fireLaunch, &launches[i])
+		}
 	}
 	if mode == netParallel {
 		se.RunParallel()

@@ -136,9 +136,7 @@ func (l *Layer) pump(pe int) {
 	}
 	// One-nanosecond yield: a message delivered at exactly t must win the
 	// CPU (its dispatch event is already queued) before the next probe.
-	// Booked onto the PE's own node, like every node-owned event (under
-	// lockstep the shared sequence counter makes the placement irrelevant).
-	eng.AtNodeArg(l.gni.Net.NodeOf(pe), t+1, firePump, &l.pumps[pe])
+	eng.AtArg(t+1, firePump, &l.pumps[pe])
 }
 
 // firePump runs one scheduled progress-engine step (closure-free pump).

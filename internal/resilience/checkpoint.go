@@ -30,8 +30,6 @@ type CheckpointConfig struct {
 	// the kernel clock at fail-time + DetectDelay + RestartCost
 	// (defaults 50µs and 200µs).
 	DetectDelay, RestartCost sim.Time
-	// Shards partitions the kernel (lockstep; 0 or 1 keeps it flat).
-	Shards int
 	// Probe optionally observes every phase's kernel alongside the
 	// strategy's own fault timeline.
 	Probe charmgo.Probe
@@ -122,7 +120,6 @@ func RunCheckpoint(cfg CheckpointConfig) CheckpointResult {
 			CoresPerNode: 1,
 			Layer:        cfg.Layer,
 			Faults:       &sched,
-			Shards:       cfg.Shards,
 			Probe:        probe,
 			Resume:       resume,
 		})

@@ -35,8 +35,6 @@ type TeamConfig struct {
 	// charmgo.MachineConfig.Faults. Kills must be team-safe (at most
 	// one replica per team), e.g. drawn with Killable = plane B.
 	Faults *fault.Schedule
-	// Shards partitions the kernel (lockstep; 0 or 1 keeps it flat).
-	Shards int
 	// Probe optionally observes the kernel alongside the strategy's
 	// own fault timeline.
 	Probe charmgo.Probe
@@ -153,7 +151,6 @@ func RunTeam(cfg TeamConfig) TeamResult {
 		Layer:        cfg.Layer,
 		UGNI:         cfg.UGNI,
 		Faults:       cfg.Faults,
-		Shards:       cfg.Shards,
 		Probe:        noteProbe(tl, cfg.Probe),
 	})
 	st := &teamState{

@@ -84,7 +84,6 @@ type Loopback struct {
 	eng       sim.Kernel
 	m         Model
 	name      sim.Name
-	node      int // owning simulated node (-1 when shared): shard routing hint
 	transfers uint64
 }
 
@@ -92,13 +91,7 @@ var _ sim.NICEngine = (*Loopback)(nil)
 
 // NewLoopback returns the pxshm engine for one node's shared segment.
 func NewLoopback(eng sim.Kernel, m Model, name sim.Name) *Loopback {
-	return &Loopback{eng: eng, m: m, name: name, node: -1}
-}
-
-// NewNodeLoopback is NewLoopback pinned to one simulated node, so a
-// sharded kernel books its completion callbacks into that node's shard.
-func NewNodeLoopback(eng sim.Kernel, m Model, name sim.Name, node int) *Loopback {
-	return &Loopback{eng: eng, m: m, name: name, node: node}
+	return &Loopback{eng: eng, m: m, name: name}
 }
 
 // Name labels the engine for diagnostics.
@@ -124,10 +117,6 @@ func (l *Loopback) Transfer(dst, size int, ready sim.Time) (srcDone, dstArrive s
 //
 //simlint:hotpath
 func (l *Loopback) Enqueue(at sim.Time, fn func()) {
-	if l.node >= 0 {
-		l.eng.AtNode(l.node, at, fn)
-		return
-	}
 	l.eng.At(at, fn)
 }
 
@@ -136,10 +125,6 @@ func (l *Loopback) Enqueue(at sim.Time, fn func()) {
 //
 //simlint:hotpath
 func (l *Loopback) EnqueueArg(at sim.Time, fn func(any), arg any) {
-	if l.node >= 0 {
-		l.eng.AtNodeArg(l.node, at, fn, arg)
-		return
-	}
 	l.eng.AtArg(at, fn, arg)
 }
 

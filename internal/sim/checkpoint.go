@@ -11,9 +11,7 @@ import "fmt"
 // — sequence numbers continue where they left off, so (time, sequence)
 // tie-breaks resolve exactly as they would have in an unbroken run.
 //
-// The snapshot is plain data: serializable, comparable with ==, and
-// shard-count agnostic (a checkpoint taken at one shard count restores
-// onto any other, because quiescence leaves nothing shard-resident).
+// The snapshot is plain data: serializable and comparable with ==.
 type KernelCheckpoint struct {
 	// Now is the virtual clock at the checkpoint.
 	Now Time
@@ -39,26 +37,9 @@ func (ck KernelCheckpoint) Advanced(at Time) KernelCheckpoint {
 	return ck
 }
 
-// Checkpointer is the snapshot/restore surface of a kernel. Both the flat
-// Engine and the ShardedEngine implement it; both enforce the coordination
-// rule — snapshot and restore are only legal at quiescence (Pending() ==
-// 0), which is what makes the checkpoint this small and the restore this
-// cheap.
-type Checkpointer interface {
-	// Checkpoint snapshots the kernel. It fails unless the kernel is
-	// quiescent.
-	Checkpoint() (KernelCheckpoint, error)
-	// Restore warps a quiescent kernel onto the checkpoint's clock and
-	// sequence counter. The clock may only move forward.
-	Restore(ck KernelCheckpoint) error
-}
-
-var (
-	_ Checkpointer = (*Engine)(nil)
-	_ Checkpointer = (*ShardedEngine)(nil)
-)
-
-// Checkpoint implements Checkpointer.
+// Checkpoint snapshots the engine. Snapshots are only legal at
+// quiescence (Pending() == 0), which is what makes the checkpoint this
+// small and the restore this cheap.
 func (e *Engine) Checkpoint() (KernelCheckpoint, error) {
 	if e.live != 0 {
 		return KernelCheckpoint{}, fmt.Errorf("sim: checkpoint with %d events pending", e.live)
@@ -66,7 +47,8 @@ func (e *Engine) Checkpoint() (KernelCheckpoint, error) {
 	return KernelCheckpoint{Now: e.now, LastAt: e.lastAt, Seq: e.seq, Fired: e.fired}, nil
 }
 
-// Restore implements Checkpointer.
+// Restore warps a quiescent engine onto the checkpoint's clock and
+// sequence counter. The clock may only move forward.
 func (e *Engine) Restore(ck KernelCheckpoint) error {
 	if e.live != 0 {
 		return fmt.Errorf("sim: restore with %d events pending", e.live)
@@ -78,56 +60,5 @@ func (e *Engine) Restore(ck KernelCheckpoint) error {
 	e.lastAt = ck.LastAt
 	e.seq = ck.Seq
 	e.fired = ck.Fired
-	return nil
-}
-
-// Checkpoint implements Checkpointer. In lockstep mode the shared counter
-// is the one that matters; per-shard counters (window modes) are kept
-// uniform by Restore, so one global Seq describes either kind of kernel.
-func (se *ShardedEngine) Checkpoint() (KernelCheckpoint, error) {
-	if n := se.Pending(); n != 0 {
-		return KernelCheckpoint{}, fmt.Errorf("sim: checkpoint with %d events pending", n)
-	}
-	ck := KernelCheckpoint{Now: se.now, LastAt: se.now, Seq: se.seq, Fired: se.Fired()}
-	if se.parallel {
-		// Window modes draw from per-shard counters; the largest is the
-		// safe continuation point for every shard.
-		for _, sh := range se.shards {
-			if sh.seq > ck.Seq {
-				ck.Seq = sh.seq
-			}
-			if sh.lastAt > ck.LastAt {
-				ck.LastAt = sh.lastAt
-			}
-		}
-	}
-	return ck, nil
-}
-
-// Restore implements Checkpointer: the global clock, the shared lockstep
-// counter, and every shard's clock and counter warp to the checkpoint
-// uniformly. Uniform per-shard state is what keeps a restored lockstep
-// kernel bit-identical to a restored flat kernel at every shard count —
-// the same induction that proves clean-run invariance applies from the
-// warped initial state.
-func (se *ShardedEngine) Restore(ck KernelCheckpoint) error {
-	if n := se.Pending(); n != 0 {
-		return fmt.Errorf("sim: restore with %d events pending", n)
-	}
-	if ck.Now < se.now {
-		return fmt.Errorf("sim: restore would rewind clock from %v to %v", se.now, ck.Now)
-	}
-	se.now = ck.Now
-	se.seq = ck.Seq
-	for i, sh := range se.shards {
-		sh.now = ck.Now
-		sh.lastAt = ck.LastAt
-		sh.seq = ck.Seq
-		if i == 0 {
-			sh.fired = ck.Fired
-		} else {
-			sh.fired = 0
-		}
-	}
 	return nil
 }

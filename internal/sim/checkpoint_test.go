@@ -9,7 +9,7 @@ import (
 // apart starting at t0, appending "(time,tag)" markers to log. Two events
 // land on every instant (tags a and b scheduled in that order), so the log
 // also witnesses (time, sequence) tie-breaking across a restore.
-func chainPhase(k Kernel, t0, step Time, n int, log *[]string) {
+func chainPhase(k *Engine, t0, step Time, n int, log *[]string) {
 	for i := 0; i < n; i++ {
 		at := t0 + Time(i)*step
 		for _, tag := range []string{"a", "b"} {
@@ -21,24 +21,24 @@ func chainPhase(k Kernel, t0, step Time, n int, log *[]string) {
 	}
 }
 
-// runRoundTrip drives phase 1 on a kernel built by mk, checkpoints at
-// quiescence, then replays phase 2 on a fresh restored kernel; it returns
+// runRoundTrip drives phase 1 on a fresh engine, checkpoints at
+// quiescence, then replays phase 2 on a second restored engine; it returns
 // the phase-2 log plus the final clock.
-func runRoundTrip(t *testing.T, mk func() Kernel) ([]string, Time) {
+func runRoundTrip(t *testing.T) ([]string, Time) {
 	t.Helper()
-	k1 := mk()
+	k1 := NewEngine()
 	var log1 []string
 	chainPhase(k1, 10, 7, 5, &log1)
 	k1.Run()
-	ck, err := k1.(Checkpointer).Checkpoint()
+	ck, err := k1.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if ck.Now != k1.Now() {
 		t.Fatalf("checkpoint clock %v != engine clock %v", ck.Now, k1.Now())
 	}
-	k2 := mk()
-	if err := k2.(Checkpointer).Restore(ck); err != nil {
+	k2 := NewEngine()
+	if err := k2.Restore(ck); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if k2.Now() != ck.Now {
@@ -50,12 +50,10 @@ func runRoundTrip(t *testing.T, mk func() Kernel) ([]string, Time) {
 	return log2, k2.Now()
 }
 
-// TestKernelCheckpointRoundTrip proves the restore contract on both
-// kernels: a fresh kernel restored from a quiescent checkpoint replays a
-// second phase identically to the unbroken run, sequence tie-breaks
-// included, at several shard counts.
+// TestKernelCheckpointRoundTrip proves the restore contract: a fresh
+// engine restored from a quiescent checkpoint replays a second phase
+// identically to the unbroken run, sequence tie-breaks included.
 func TestKernelCheckpointRoundTrip(t *testing.T) {
-	flat := func() Kernel { return NewEngine() }
 	// Continuous oracle: both phases on one engine.
 	k := NewEngine()
 	var oracle []string
@@ -66,25 +64,16 @@ func TestKernelCheckpointRoundTrip(t *testing.T) {
 	oracle = oracle[10:] // phase 2 only
 	oracleEnd := k.Now()
 
-	for _, tc := range []struct {
-		name string
-		mk   func() Kernel
-	}{
-		{"flat", flat},
-		{"sharded2", func() Kernel { return NewShardedEngine(2, []int32{0, 1}) }},
-		{"sharded4", func() Kernel { return NewShardedEngine(4, []int32{0, 1, 2, 3}) }},
-	} {
-		log, end := runRoundTrip(t, tc.mk)
-		if end != oracleEnd {
-			t.Errorf("%s: resumed end %v, oracle %v", tc.name, end, oracleEnd)
-		}
-		if len(log) != len(oracle) {
-			t.Fatalf("%s: resumed fired %d events, oracle %d", tc.name, len(log), len(oracle))
-		}
-		for i := range log {
-			if log[i] != oracle[i] {
-				t.Errorf("%s: event %d: resumed %q, oracle %q", tc.name, i, log[i], oracle[i])
-			}
+	log, end := runRoundTrip(t)
+	if end != oracleEnd {
+		t.Errorf("resumed end %v, oracle %v", end, oracleEnd)
+	}
+	if len(log) != len(oracle) {
+		t.Fatalf("resumed fired %d events, oracle %d", len(log), len(oracle))
+	}
+	for i := range log {
+		if log[i] != oracle[i] {
+			t.Errorf("event %d: resumed %q, oracle %q", i, log[i], oracle[i])
 		}
 	}
 }

@@ -70,7 +70,6 @@ type Engine struct {
 	lastAt    Time // timestamp of the most recently fired event (RunUntil moves now past it)
 	heap      []entry
 	seq       uint64
-	seqp      *uint64 //simlint:shared -- lockstep ShardedEngine shares one counter across shards; NewShardedEngine(parallel) nils it before any worker exists
 	fired     uint64
 	live      int // pending (non-cancelled) events; Pending() is O(1)
 	cancelled int // cancelled events still occupying heap slots
@@ -146,21 +145,6 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	return ev
 }
 
-// AtNode is At with a routing hint: the callback concerns the given
-// simulated node. The flat engine has a single event population, so the
-// hint is ignored; a ShardedEngine uses it to book the event into the
-// owning shard's heap.
-//
-//simlint:hotpath
-func (e *Engine) AtNode(node int, t Time, fn func()) *Event { return e.At(t, fn) }
-
-// AtNodeArg is AtArg with a node routing hint (see AtNode).
-//
-//simlint:hotpath
-func (e *Engine) AtNodeArg(node int, t Time, fn func(any), arg any) *Event {
-	return e.AtArg(t, fn, arg)
-}
-
 // acquire pops a pooled record (or allocates the pool's next one), books it
 // at t, and pushes its heap entry. The caller sets exactly one of fn/afn.
 func (e *Engine) acquire(t Time) *Event {
@@ -177,25 +161,10 @@ func (e *Engine) acquire(t Time) *Event {
 	}
 	ev.at = t
 	ev.state = evPending
-	e.push(entry{at: t, seq: e.nextSeq(), ev: ev})
+	e.push(entry{at: t, seq: e.seq, ev: ev})
+	e.seq++
 	e.live++
 	return ev
-}
-
-// nextSeq returns the next scheduling sequence number. Shards of a
-// lockstep ShardedEngine share one counter (seqp), which is what makes the
-// sharded total order (time, sequence) coincide with the flat engine's:
-// identical execution order implies identical scheduling order implies
-// identical sequence assignment, by induction over fired events.
-func (e *Engine) nextSeq() uint64 {
-	if e.seqp != nil { //simlint:allow atomicshared -- nil check plus read of the lockstep-only counter: parallel mode nils seqp before any worker starts
-		s := *e.seqp    //simlint:allow atomicshared -- lockstep-only path: parallel mode nils seqp before workers start, so no window ever runs this branch
-		*e.seqp = s + 1 //simlint:allow shardescape -- same lockstep-only argument: the shared counter exists only while a single goroutine runs
-		return s
-	}
-	s := e.seq
-	e.seq = s + 1
-	return s
 }
 
 // peek reports the ordering key of the next live event without firing it,

@@ -1,12 +1,9 @@
 package sim
 
-// Kernel is the scheduling surface the machine stack builds on: everything
-// an Engine offers plus node-routed scheduling (AtNode/AtNodeArg), so the
-// same gemini/uGNI/machine/converse layers run unchanged on the flat
-// Engine or on a partitioned ShardedEngine. Layers that know which
-// simulated node a callback concerns should schedule through the node
-// forms; the flat engine ignores the hint and a sharded kernel uses it to
-// book the event into the owning shard.
+// Kernel is the scheduling surface the network and machine layers build
+// on. A charmgo machine always runs on the flat Engine; the gemini network
+// also accepts a ShardedEngine, which drives the parallel-window halo
+// workload (DESIGN.md §2.3).
 type Kernel interface {
 	// Now reports the current virtual time.
 	Now() Time
@@ -23,10 +20,6 @@ type Kernel interface {
 	At(t Time, fn func()) *Event
 	// AtArg is the closure-free At form.
 	AtArg(t Time, fn func(any), arg any) *Event
-	// AtNode is At with a node-routing hint.
-	AtNode(node int, t Time, fn func()) *Event
-	// AtNodeArg is AtArg with a node-routing hint.
-	AtNodeArg(node int, t Time, fn func(any), arg any) *Event
 
 	// Step fires the single next event; false when none remain.
 	Step() bool

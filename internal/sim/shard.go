@@ -3,39 +3,29 @@ package sim
 import "fmt"
 
 // ShardedEngine partitions one simulation's event population across N
-// shards, each a pooled-heap Engine owning a group of simulated nodes.
-// It runs in one of two modes:
+// shards, each a pooled-heap Engine owning a group of simulated nodes,
+// and advances them concurrently inside conservative windows bounded by
+// the kernel lookahead L (for the gemini model, InjectionLatency +
+// minCrossShardHops × HopLatency). Each window, the coordinator computes
+// the horizon H = min-next-event + L, releases one worker goroutine per
+// shard to fire its local events with t < H, and merges cross-shard sends
+// at the barrier. An event executing at τ ≥ min-next-event may schedule
+// remotely only at τ' ≥ τ + L ≥ H, so no remote event can land inside the
+// window that produced it — the Chandy/Misra conservative argument.
+// Cross-shard sends buffer in single-writer outboxes and merge in
+// (timestamp, source shard, emission index) order, so results are
+// independent of goroutine scheduling and of the shard count for
+// shard-confined workloads.
 //
-// Lockstep (NewShardedEngine): every shard draws scheduling sequence
-// numbers from one shared counter, and Run/Step always fire the globally
-// minimal (time, sequence) event. Because execution order determines
-// scheduling order and scheduling order determines sequence assignment,
-// induction over fired events shows the lockstep order is *identical* to
-// the flat Engine's — results are bit-identical at every shard count,
-// probes included. This is the mode the full machine stack uses: the
-// network's shared link bookings make its events non-commutative, so they
-// are never executed concurrently, but the event population is already
-// partitioned by owning node and every scheduling layer routes through
-// AtNode/AtNodeArg.
-//
-// Parallel (NewParallelEngine): shards advance concurrently inside
-// conservative windows bounded by the kernel lookahead L (for the gemini
-// model, InjectionLatency + minCrossShardHops × HopLatency). Each window,
-// the coordinator computes the horizon H = min-next-event + L, releases
-// one worker goroutine per shard to fire its local events with t < H, and
-// merges cross-shard sends at the barrier. An event executing at τ ≥
-// min-next-event may schedule remotely only at τ' ≥ τ + L ≥ H, so no
-// remote event can land inside the window that produced it — the
-// Chandy/Misra conservative argument. Cross-shard sends buffer in
-// single-writer outboxes and merge in (timestamp, source shard, emission
-// index) order, so results are independent of goroutine scheduling and of
-// the shard count for shard-confined workloads.
+// Run executes the same workload sequentially in lockstep — always the
+// globally minimal (time, sequence, shard) event — and is the oracle the
+// parallel windows are checked against. The machine stack never runs on a
+// ShardedEngine: a charmgo machine is always a flat Engine.
 type ShardedEngine struct {
 	shards    []*Engine
 	nodeShard []int32
-	seq       uint64 // shared scheduling counter (lockstep mode)
 	now       Time
-	cur       int // shard receiving node-less schedules (last to fire)
+	cur       int // shard receiving kernel-level schedules (last to fire)
 	probe     Probe
 
 	// Parallel-window state. started marks a RunParallel in progress
@@ -45,7 +35,6 @@ type ShardedEngine struct {
 	// made inside it; barriers are the hooks run after every window's
 	// outbox merge (the network model drains its reservation outboxes
 	// here).
-	parallel    bool
 	lookahead   Time
 	handles     []*Shard
 	started     bool
@@ -55,46 +44,32 @@ type ShardedEngine struct {
 	barriers    []func()
 }
 
-// NewShardedEngine returns a lockstep sharded kernel: shards engines over
-// the given node→shard map. Results are bit-identical to a flat Engine
-// for every shard count, shards=1 included.
-func NewShardedEngine(shards int, nodeShard []int32) *ShardedEngine {
+// NewParallelEngine returns a sharded kernel over the given node→shard
+// map with the given conservative lookahead. Shards keep independent
+// sequence counters (workers must not contend on one), so ties at equal
+// timestamps resolve by (sequence, shard) under lockstep Run and by the
+// merge rule under RunParallel. Cross-shard scheduling goes through
+// Shard.Send and must respect the lookahead.
+func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEngine {
 	if shards < 1 {
-		panic(fmt.Sprintf("sim: NewShardedEngine(%d)", shards))
+		panic(fmt.Sprintf("sim: NewParallelEngine(%d shards)", shards))
 	}
-	se := &ShardedEngine{
-		shards:    make([]*Engine, shards),
-		nodeShard: nodeShard,
-	}
-	for i := range se.shards {
-		se.shards[i] = &Engine{seqp: &se.seq}
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("sim: NewParallelEngine lookahead %v", lookahead))
 	}
 	for n, s := range nodeShard {
 		if int(s) < 0 || int(s) >= shards {
 			panic(fmt.Sprintf("sim: node %d mapped to shard %d of %d", n, s, shards))
 		}
 	}
-	return se
-}
-
-// NewParallelEngine returns a parallel-window sharded kernel with the
-// given conservative lookahead. Shards keep independent sequence
-// counters (workers must not contend on one), so ties at equal timestamps
-// resolve by (sequence, shard) under lockstep execution and by the merge
-// rule under RunParallel. Cross-shard scheduling goes through Shard.Send
-// and must respect the lookahead.
-func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEngine {
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("sim: NewParallelEngine lookahead %v", lookahead))
+	se := &ShardedEngine{
+		shards:    make([]*Engine, shards),
+		nodeShard: nodeShard,
+		lookahead: lookahead,
+		handles:   make([]*Shard, shards),
 	}
-	se := NewShardedEngine(shards, nodeShard)
-	se.parallel = true
-	se.lookahead = lookahead
-	for _, sh := range se.shards {
-		sh.seqp = nil // per-shard counters: windows assign seqs concurrently
-	}
-	se.handles = make([]*Shard, shards)
-	for i := range se.handles {
+	for i := range se.shards {
+		se.shards[i] = NewEngine()
 		se.handles[i] = &Shard{
 			se:  se,
 			id:  i,
@@ -108,21 +83,11 @@ func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEn
 // NumShards reports the shard count.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
-// Lookahead reports the conservative cross-shard bound (zero in lockstep
-// mode, which needs none).
-func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
-
 // ShardOf reports the shard owning a node.
 func (se *ShardedEngine) ShardOf(node int) int { return int(se.nodeShard[node]) }
 
-// ShardHandle returns the handle workloads use to schedule on a shard in
-// parallel mode.
-func (se *ShardedEngine) ShardHandle(i int) *Shard {
-	if !se.parallel {
-		panic("sim: ShardHandle on a lockstep ShardedEngine")
-	}
-	return se.handles[i]
-}
+// ShardHandle returns the handle workloads use to schedule on a shard.
+func (se *ShardedEngine) ShardHandle(i int) *Shard { return se.handles[i] }
 
 // OnBarrier registers fn to run at every window barrier, after the
 // cross-shard outboxes have merged and before the next horizon is
@@ -206,55 +171,37 @@ func (se *ShardedEngine) ScheduleArg(delay Time, fn func(any), arg any) *Event {
 }
 
 // At runs fn at absolute time t on the current shard (the shard whose
-// event is executing, so self-rescheduling stays local). Which shard holds
-// an event never affects lockstep order — the shared counter does.
+// event is executing, so self-rescheduling stays local). Outside a
+// window only: workers schedule through their Shard handles.
 //
 //simlint:hotpath
 func (se *ShardedEngine) At(t Time, fn func()) *Event {
-	return se.route(se.cur).At(se.check(t), fn)
+	return se.local(t).At(t, fn)
 }
 
 // AtArg is the closure-free At form.
 //
 //simlint:hotpath
 func (se *ShardedEngine) AtArg(t Time, fn func(any), arg any) *Event {
-	return se.route(se.cur).AtArg(se.check(t), fn, arg)
+	return se.local(t).AtArg(t, fn, arg)
 }
 
-// AtNode books fn at t into the heap of the shard owning node.
-//
-//simlint:hotpath
-func (se *ShardedEngine) AtNode(node int, t Time, fn func()) *Event {
-	return se.route(int(se.nodeShard[node])).At(se.check(t), fn)
-}
-
-// AtNodeArg is the closure-free AtNode form.
-//
-//simlint:hotpath
-func (se *ShardedEngine) AtNodeArg(node int, t Time, fn func(any), arg any) *Event {
-	return se.route(int(se.nodeShard[node])).AtArg(se.check(t), fn, arg)
-}
-
-// check enforces the flat engine's causality panic against the *global*
+// local returns the current shard's engine for a kernel-level schedule at
+// t, enforcing the flat engine's causality panic against the *global*
 // clock (shard-local clocks lag it between their turns).
-func (se *ShardedEngine) check(t Time) Time {
-	if t < se.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, se.now))
-	}
-	return t
-}
-
-func (se *ShardedEngine) route(shard int) *Engine {
+func (se *ShardedEngine) local(t Time) *Engine {
 	if se.running {
 		panic("sim: ShardedEngine scheduling during a parallel window; use Shard handles")
 	}
-	return se.shards[shard]
+	if t < se.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, se.now))
+	}
+	return se.shards[se.cur]
 }
 
 // pickMin scans shard heaps for the globally minimal (time, sequence,
-// shard) key. In lockstep mode sequences are globally unique so the shard
-// index never decides; it only breaks ties between independent counters in
-// parallel-mode lockstep debugging runs.
+// shard) key. Shards draw from independent counters, so the shard index
+// breaks ties between equal (time, sequence) keys.
 func (se *ShardedEngine) pickMin() (shard int, at Time, ok bool) {
 	shard = -1
 	var bs uint64
@@ -320,70 +267,18 @@ func (se *ShardedEngine) RunUntil(deadline Time) uint64 {
 // RunFor is RunUntil(Now()+d).
 func (se *ShardedEngine) RunFor(d Time) uint64 { return se.RunUntil(se.now + d) }
 
-// SetProbe installs p behind a wrapper that reports the *global* pending
-// count, so probed runs observe exactly what a flat engine would.
+// SetProbe installs p on every shard; the pending counts it observes are
+// shard-local. RunParallel refuses a probe (its workers would share it),
+// so a probe observes lockstep runs only.
 func (se *ShardedEngine) SetProbe(p Probe) {
 	se.probe = p
-	var w Probe
-	if p != nil {
-		w = &shardProbe{se}
-	}
 	for _, sh := range se.shards {
-		sh.SetProbe(w)
+		sh.SetProbe(p)
 	}
 }
 
 // Probe reports the installed probe, if any.
 func (se *ShardedEngine) Probe() Probe { return se.probe }
-
-// shardProbe adapts shard-local probe calls to the global view: the
-// pending count a flat engine would have reported is the sum over shards.
-type shardProbe struct{ se *ShardedEngine }
-
-func (w *shardProbe) EventFired(now Time, _ int) {
-	w.se.probe.EventFired(now, w.se.Pending())
-}
-func (w *shardProbe) Booking(r Booked, at, start, end Time) {
-	w.se.probe.Booking(r, at, start, end)
-}
-func (w *shardProbe) FaultNoted(kind FaultKind, now Time) {
-	w.se.probe.FaultNoted(kind, now)
-}
-
-// InstallShardStats equips every shard with its own KernelStats collector
-// (parallel windows must not share one) and returns them in shard order;
-// fold with MergeKernelStats after the run.
-func (se *ShardedEngine) InstallShardStats() []*KernelStats {
-	out := make([]*KernelStats, len(se.shards))
-	for i, sh := range se.shards {
-		out[i] = NewKernelStats()
-		sh.SetProbe(out[i])
-	}
-	return out
-}
-
-// MergeKernelStats folds per-shard collectors into one snapshot. Counters
-// and busy totals sum exactly; PeakPending is the sum of per-shard peaks,
-// a conservative upper bound (the per-shard highs need not coincide).
-func MergeKernelStats(parts ...*KernelStats) *KernelStats {
-	m := NewKernelStats()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		m.Events += p.Events
-		m.Bookings += p.Bookings
-		m.BookedTime += p.BookedTime
-		m.PeakPending += p.PeakPending
-		for k, c := range p.Faults {
-			m.Faults[k] += c
-		}
-		for r, busy := range p.byRes {
-			m.byRes[r] += busy
-		}
-	}
-	return m
-}
 
 // crossEvent is one buffered cross-shard send awaiting merge.
 type crossEvent struct {
@@ -453,16 +348,12 @@ func (s *Shard) Send(node int, t Time, fn func(any), arg any) {
 
 // RunParallel drives conservative windows until no shard holds events,
 // returning the number fired. The caller's goroutine coordinates; one
-// worker per shard executes. Probes must be per-shard (InstallShardStats)
-// — a single shared probe would race.
+// worker per shard executes.
 //
 //simlint:shard-worker -- coordinator half of the window protocol: hands horizons to workers and barriers on their replies
 func (se *ShardedEngine) RunParallel() uint64 {
-	if !se.parallel {
-		panic("sim: RunParallel on a lockstep ShardedEngine")
-	}
 	if se.probe != nil {
-		panic("sim: RunParallel with a shared probe; use InstallShardStats")
+		panic("sim: RunParallel with a probe installed; probes observe lockstep runs only")
 	}
 	se.startWorkers()
 	defer se.stopWorkers()

@@ -4,55 +4,6 @@ import (
 	"testing"
 )
 
-// stormState drives a randomized self-perpetuating event storm over a set
-// of simulated nodes: each firing records its identity, mutates shared
-// state, schedules follow-ups on random nodes (including ties at the same
-// instant), and occasionally cancels a pending event.
-type stormState struct {
-	k      Kernel
-	rng    *RNG
-	nodes  int
-	budget int
-	log    []stormRecord
-}
-
-type stormRecord struct {
-	at   Time
-	id   uint64
-	pend int
-}
-
-func (s *stormState) fire(arg any) {
-	id := arg.(uint64)
-	s.log = append(s.log, stormRecord{at: s.k.Now(), id: id, pend: s.k.Pending()})
-	if s.budget <= 0 {
-		return
-	}
-	var batch [3]*Event
-	n := s.rng.Intn(3)
-	for i := 0; i < n; i++ {
-		s.budget--
-		node := s.rng.Intn(s.nodes)
-		// Mix zero delays (ties) with spread-out ones.
-		delay := Time(s.rng.Intn(5)) * 7
-		batch[i] = s.k.AtNodeArg(node, s.k.Now()+delay, s.fire, s.rng.Uint64())
-	}
-	// Cancel only events scheduled in this callback: they are guaranteed
-	// still pending (handles past firing are invalid — records recycle).
-	if n > 0 && s.rng.Intn(4) == 0 {
-		batch[s.rng.Intn(n)].Cancel()
-	}
-}
-
-func runStorm(k Kernel, nodes int, seed uint64) []stormRecord {
-	s := &stormState{k: k, rng: NewRNG(seed), nodes: nodes, budget: 4000}
-	for n := 0; n < nodes; n++ {
-		s.k.AtNodeArg(n, Time(n%13), s.fire, uint64(n))
-	}
-	k.Run()
-	return s.log
-}
-
 func stripedShards(nodes, shards int) []int32 {
 	m := make([]int32, nodes)
 	for n := range m {
@@ -60,108 +11,6 @@ func stripedShards(nodes, shards int) []int32 {
 	}
 	return m
 }
-
-// TestLockstepMatchesFlat is the tentpole invariant: a lockstep
-// ShardedEngine fires the exact event sequence of the flat Engine at
-// every shard count, cancellations and ties included.
-func TestLockstepMatchesFlat(t *testing.T) {
-	const nodes = 24
-	for _, seed := range []uint64{1, 7, 42, 1234567} {
-		want := runStorm(NewEngine(), nodes, seed)
-		if len(want) == 0 {
-			t.Fatalf("seed %d: empty storm", seed)
-		}
-		for _, shards := range []int{1, 2, 3, 4, 7} {
-			got := runStorm(NewShardedEngine(shards, stripedShards(nodes, shards)), nodes, seed)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d shards %d: fired %d events, flat fired %d", seed, shards, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shards %d: event %d = %+v, flat %+v", seed, shards, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestShardedEngineBasics covers the kernel-surface parity details the
-// storm does not: clocks, counts, probes, RunUntil deadlines.
-func TestShardedEngineBasics(t *testing.T) {
-	se := NewShardedEngine(2, []int32{0, 0, 1, 1})
-	flat := NewEngine()
-	var seOrder, flatOrder []int
-	for _, k := range []struct {
-		kern  Kernel
-		order *[]int
-	}{{se, &seOrder}, {flat, &flatOrder}} {
-		kern, order := k.kern, k.order
-		for i, node := range []int{3, 0, 2, 1} {
-			i := i
-			kern.AtNode(node, Time(10), func() { *order = append(*order, i) })
-		}
-		kern.Schedule(5, func() { *order = append(*order, 99) })
-	}
-	if se.Pending() != 5 || flat.Pending() != 5 {
-		t.Fatalf("pending: sharded %d flat %d, want 5", se.Pending(), flat.Pending())
-	}
-	if n := se.RunUntil(7); n != 1 {
-		t.Fatalf("RunUntil(7) fired %d, want 1", n)
-	}
-	if se.Now() != 7 {
-		t.Fatalf("Now after RunUntil(7) = %v", se.Now())
-	}
-	flat.RunUntil(7)
-	se.Run()
-	flat.Run()
-	if len(seOrder) != len(flatOrder) {
-		t.Fatalf("order lengths differ: %v vs %v", seOrder, flatOrder)
-	}
-	for i := range seOrder {
-		if seOrder[i] != flatOrder[i] {
-			t.Fatalf("firing order %v, flat %v", seOrder, flatOrder)
-		}
-	}
-	if se.Fired() != flat.Fired() {
-		t.Fatalf("fired: sharded %d flat %d", se.Fired(), flat.Fired())
-	}
-}
-
-// TestShardedProbeMatchesFlat verifies the probe stream (including the
-// globally summed pending count) is identical between flat and sharded.
-func TestShardedProbeMatchesFlat(t *testing.T) {
-	type obs struct {
-		now  Time
-		pend int
-	}
-	collect := func(k Kernel) []obs {
-		var got []obs
-		k.SetProbe(probeFunc(func(now Time, pending int) {
-			got = append(got, obs{now, pending})
-		}))
-		runStorm(k, 16, 99)
-		return got
-	}
-	want := collect(NewEngine())
-	got := collect(NewShardedEngine(3, stripedShards(16, 3)))
-	if len(want) != len(got) {
-		t.Fatalf("probe streams: %d vs %d observations", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("observation %d: flat %+v sharded %+v", i, want[i], got[i])
-		}
-	}
-	if want[0].pend == 0 {
-		t.Fatal("probe saw no pending events; storm too small to be meaningful")
-	}
-}
-
-type probeFunc func(now Time, pending int)
-
-func (f probeFunc) EventFired(now Time, pending int) { f(now, pending) }
-func (f probeFunc) Booking(Booked, Time, Time, Time) {}
-func (f probeFunc) FaultNoted(FaultKind, Time)       {}
 
 // haloCell is a node of the parallel-window test workload: a fixed-cadence
 // halo exchange on a ring where state flows through values, never times.

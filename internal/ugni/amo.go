@@ -62,8 +62,8 @@ func (g *GNI) AMORead(node, addr int) int64 {
 }
 
 // amoFlight carries one posted AMO from the wire request through the
-// register application at the target NIC: PostAMO schedules amoApply on
-// the target node's shard at the request's arrival, which is where the
+// register application at the target NIC: PostAMO schedules amoApply at
+// the request's arrival, which is where the
 // atomic read-modify-write and the response push happen. Pooled on the
 // owning GNI (g.amoFlights); released when amoApply finishes.
 //
@@ -119,7 +119,7 @@ func (g *GNI) PostAMO(d *AMODesc, at sim.Time) sim.Time {
 	_, reqArrive := g.Net.Transfer(iNode, rNode, amoWireBytes, gemini.UnitFMA, at)
 	fl := g.amoFlights.Get()
 	fl.g, fl.d, fl.rNode, fl.at = g, d, rNode, reqArrive
-	// The register lives at the remote NIC: apply on its node's shard.
-	g.Net.Eng.AtNodeArg(rNode, reqArrive, amoApply, fl)
+	// The register lives at the remote NIC: apply when the request lands.
+	g.Net.Eng.AtArg(reqArrive, amoApply, fl)
 	return g.Net.P.HostPostCPU
 }

@@ -89,7 +89,6 @@ type CQ struct {
 	eng  sim.Kernel
 	g    *GNI // owner; carries the shared delivery-node pool
 	idx  int32
-	node int32 // owning simulated node (-1 when unknown): shard routing hint
 	q    []Event
 
 	// OnEvent, if set, consumes every event: it fires (as an engine event,
@@ -246,16 +245,11 @@ func (cq *CQ) resume(now sim.Time) {
 	}
 }
 
-// push schedules the event to appear at time at, booked into the shard
-// owning the queue's node when known.
+// push schedules the event to appear at time at.
 func (cq *CQ) push(at sim.Time, ev Event) {
 	ev.At = at
 	n := cq.g.cqNodes.Get()
 	n.cq = cq
 	n.ev = ev
-	if cq.node >= 0 {
-		cq.eng.AtNodeArg(int(cq.node), at, deliverCQ, n)
-	} else {
-		cq.eng.AtArg(at, deliverCQ, n)
-	}
+	cq.eng.AtArg(at, deliverCQ, n)
 }

@@ -75,7 +75,7 @@ func (g *GNI) MaxSmsgSize() int { return g.smsgMax }
 // CqCreate mirrors GNI_CqCreate: it returns an empty completion queue with
 // the machine's configured finite depth.
 func (g *GNI) CqCreate(name string) *CQ {
-	return &CQ{name: sim.Lit(name), eng: g.Net.Eng, g: g, node: -1, depth: int32(g.Net.P.CQDepth)}
+	return &CQ{name: sim.Lit(name), eng: g.Net.Eng, g: g, depth: int32(g.Net.P.CQDepth)}
 }
 
 // CqCreateIdx is CqCreate for per-PE queues ("<pre><idx><post>"): the
@@ -90,12 +90,7 @@ func (g *GNI) CqCreateIdx(pre string, idx int, post string) *CQ {
 // layers that slab-allocate their per-PE queue arrays (`make([]ugni.CQ, n)`)
 // instead of paying one heap object per queue.
 func (g *GNI) CqInitIdx(cq *CQ, pre string, idx int, post string) {
-	node := int32(-1)
-	if idx >= 0 && idx < g.Net.NumPEs() {
-		// Per-PE queues deliver on the PE's node: the shard routing hint.
-		node = int32(g.Net.NodeOf(idx))
-	}
-	*cq = CQ{name: sim.Indexed(pre, idx, post), eng: g.Net.Eng, g: g, idx: int32(idx), node: node, depth: int32(g.Net.P.CQDepth)}
+	*cq = CQ{name: sim.Indexed(pre, idx, post), eng: g.Net.Eng, g: g, idx: int32(idx), depth: int32(g.Net.P.CQDepth)}
 }
 
 // NewPostDesc acquires a zeroed post descriptor from the job-wide pool.
@@ -226,7 +221,7 @@ func (g *GNI) smsgConsumed(src, dst int, now sim.Time) {
 	fl := g.creditFlights.Get()
 	fl.g, fl.src, fl.dst = g, int32(src), int32(dst)
 	fl.at = now + g.Net.ControlLatency(dstNode, srcNode)
-	g.Net.Eng.AtNodeArg(srcNode, fl.at, creditBack, fl)
+	g.Net.Eng.AtArg(fl.at, creditBack, fl)
 }
 
 // creditFlight carries one internode credit return through the engine:
@@ -300,12 +295,11 @@ func (g *GNI) SqueezeCredits(src, dst, limit int, from, until sim.Time) {
 		limit = 0
 	}
 	lim := int32(limit)
-	srcNode := g.Net.NodeOf(src)
-	g.Net.Eng.AtNode(srcNode, from, func() {
+	g.Net.Eng.At(from, func() {
 		g.conn(src, dst).limit = lim
 		g.noteFault(sim.FaultCreditSqueeze, from)
 	})
-	g.Net.Eng.AtNode(srcNode, until, func() {
+	g.Net.Eng.At(until, func() {
 		c := g.conn(src, dst)
 		c.limit = int32(g.Net.P.SMSGCreditSlots)
 		if c.starved && c.inflight < c.limit {
@@ -319,7 +313,7 @@ func (g *GNI) SqueezeCredits(src, dst, limit int, from, until sim.Time) {
 // effective at virtual time from: each of the next n posts initiated by pe
 // completes with EvError instead of data movement.
 func (g *GNI) ArmTxError(pe, n int, from sim.Time) {
-	g.Net.Eng.AtNode(g.Net.NodeOf(pe), from, func() {
+	g.Net.Eng.At(from, func() {
 		if g.txArm == nil {
 			g.txArm = make(map[int]int)
 		}
@@ -333,14 +327,13 @@ func (g *GNI) ArmTxError(pe, n int, from sim.Time) {
 // the overrun flag raises, to be cleared through OnError/ErrorRecover at
 // resume.
 func (g *GNI) SuspendSmsgCQ(pe int, from, until sim.Time) {
-	peNode := g.Net.NodeOf(pe)
-	g.Net.Eng.AtNode(peNode, from, func() {
+	g.Net.Eng.At(from, func() {
 		if cq := g.rxCQ[pe]; cq != nil {
 			cq.suspended = true
 			g.noteFault(sim.FaultCqBackPressure, from)
 		}
 	})
-	g.Net.Eng.AtNode(peNode, until, func() {
+	g.Net.Eng.At(until, func() {
 		if cq := g.rxCQ[pe]; cq != nil {
 			cq.resume(until)
 		}
