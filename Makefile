@@ -74,12 +74,14 @@ resilience-matrix:
 
 # Bounded fuzzing pass, one invocation per target (-fuzz must match
 # exactly one): the gap-filling resource against its linear sorted-slice
-# reference, and the event engine against its sorted (time, sequence)
-# slice reference. The checked-in seed corpora under
-# internal/sim/testdata/fuzz also run in every plain `go test`.
+# reference, the event engine against its sorted (time, sequence) slice
+# reference, and the N-Queens subtree table against the plain solver and
+# its mirror image. The checked-in seed corpora under
+# internal/{sim,ssse}/testdata/fuzz also run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGapResource$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubtree$$' -fuzztime 10s ./internal/ssse/
 
 # Quick microbenchmark pass over the kernel hot paths plus the end-to-end
 # fig9a wall-clock benchmark.

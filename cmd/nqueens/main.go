@@ -28,7 +28,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "placement seed")
 	)
 	flag.Parse()
-	if err := validate(*n, *threshold, *cores, *layer); err != nil {
+	if err := validate(*n, *threshold, *cores, *chunk, *layer); err != nil {
 		fmt.Fprintln(os.Stderr, "nqueens:", err)
 		os.Exit(2)
 	}
@@ -66,12 +66,18 @@ func main() {
 }
 
 // validate rejects flag values the machine or the search cannot run.
-func validate(n, threshold, cores int, layer string) error {
+func validate(n, threshold, cores, chunk int, layer string) error {
 	if cores < 1 {
 		return fmt.Errorf("-cores %d: need at least one core", cores)
 	}
 	if k := charmgo.LayerKind(layer); k != charmgo.LayerUGNI && k != charmgo.LayerMPI {
 		return fmt.Errorf("-layer %q: want %s or %s", layer, charmgo.LayerUGNI, charmgo.LayerMPI)
+	}
+	if n < 1 || n > len(ssse.Solutions) {
+		return fmt.Errorf("-n %d: want 1 <= n <= %d", n, len(ssse.Solutions))
+	}
+	if chunk < 1 {
+		return fmt.Errorf("-chunk %d: need at least one state per task", chunk)
 	}
 	if threshold < 1 || threshold > n {
 		return fmt.Errorf("-threshold %d: want 1 <= threshold <= n (%d)", threshold, n)

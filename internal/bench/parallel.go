@@ -11,9 +11,11 @@ import (
 // forEachPoint fans those across worker goroutines. Safety rests on an
 // audit of shared state: every package-level mutable in the simulation
 // stack is either read-only (md systems, ssse solution counts),
-// mutex-protected (mem.SlabCache construction slabs), or atomic
-// (mem.LiveDescriptors) — each simulation is otherwise confined to the
-// goroutine that built it. Determinism rests on slot-by-index writes:
+// mutex-protected (mem.SlabCache construction slabs, the ssse subtree
+// table), or atomic (mem.LiveDescriptors) — each simulation is otherwise
+// confined to the goroutine that built it. The subtree table only caches
+// values of a pure function, so concurrent points that share or evict its
+// entries still compute identical results. Determinism rests on slot-by-index writes:
 // point i always lands in slot i, whatever order the workers finish in, so
 // rendered tables are byte-identical at any worker count.
 

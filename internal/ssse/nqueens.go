@@ -21,6 +21,8 @@ package ssse
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"charmgo/internal/converse"
 	"charmgo/internal/lrts"
@@ -129,11 +131,15 @@ type solver struct {
 	nodes     uint64
 }
 
+// maxRealN is the largest board the real solver runs; larger boards run
+// in synthetic mode.
+const maxRealN = 16
+
 // Run executes the N-Queens search on the machine and returns the result.
 // The machine must be freshly constructed (no other workload).
 func Run(m *converse.Machine, cfg Config) Result {
 	cfg = cfg.withDefaults()
-	if !cfg.Synthetic && cfg.N > 16 {
+	if !cfg.Synthetic && cfg.N > maxRealN {
 		cfg.Synthetic = true
 	}
 	s := &solver{cfg: cfg, m: m}
@@ -213,10 +219,64 @@ func (s *solver) solveSubtree(ctx *converse.Ctx, st state) {
 		ctx.Compute(sim.Time(nodes) * cfg.PerNodeCost)
 		return
 	}
-	sol, nodes := count(st.cols, st.d1, st.d2, st.row, cfg.N)
-	s.solutions += sol
-	s.nodes += nodes
-	ctx.Compute(sim.Time(nodes) * cfg.PerNodeCost)
+	sub := solve(st, cfg.N)
+	s.solutions += sub.solutions
+	s.nodes += sub.nodes
+	ctx.Compute(sim.Time(sub.nodes) * cfg.PerNodeCost)
+}
+
+// subtree is what count returns for one threshold state.
+type subtree struct{ solutions, nodes uint64 }
+
+// subtrees memoizes count at the threshold depth. count is a pure function
+// of (state, N), and a sweep solves the same board at every core count, so
+// each subtree is solved once per sweep. Entries are keyed by the
+// mirror-canonical state (canonical), which halves the work within a run
+// too. The table holds one (N, row) generation at a time: a lookup from
+// another generation empties it, which keeps the map's buckets, so memory
+// stays bounded by half the leaf tasks of one run. The mutex makes it safe
+// for the experiment harness's concurrent points; a cached value equals
+// the computed one, so virtual time never depends on what is cached.
+var subtrees = struct {
+	sync.Mutex
+	n, row int
+	m      map[uint64]subtree
+}{m: make(map[uint64]subtree)}
+
+// solve returns count for a threshold state, through the subtree table.
+// The table is unlocked while count runs.
+func solve(st state, n int) subtree {
+	key := canonical(st, n)
+	subtrees.Lock()
+	if subtrees.n != n || subtrees.row != st.row {
+		clear(subtrees.m)
+		subtrees.n, subtrees.row = n, st.row
+	} else if sub, ok := subtrees.m[key]; ok {
+		subtrees.Unlock()
+		return sub
+	}
+	subtrees.Unlock()
+
+	var sub subtree
+	sub.solutions, sub.nodes = count(st.cols, st.d1, st.d2, st.row, n)
+
+	subtrees.Lock()
+	if subtrees.n == n && subtrees.row == st.row {
+		subtrees.m[key] = sub
+	}
+	subtrees.Unlock()
+	return sub
+}
+
+// canonical packs a state (N <= maxRealN, so each mask fits a 21-bit
+// field) and picks the smaller packing of it and its mirror image.
+// Reflecting the board's columns reverses each mask and swaps the two
+// diagonal directions; the mirrored subtree has the same solution and node
+// counts.
+func canonical(st state, n int) uint64 {
+	rev := func(x uint64) uint64 { return bits.Reverse64(x) >> uint(64-n) }
+	pack := func(cols, d1, d2 uint64) uint64 { return cols | d1<<21 | d2<<42 }
+	return min(pack(st.cols, st.d1, st.d2), pack(rev(st.cols), rev(st.d2), rev(st.d1)))
 }
 
 // syntheticNodes draws a deterministic subtree size with mean
