@@ -418,8 +418,8 @@ func TestGapResourceNeverOverlaps(t *testing.T) {
 	}
 }
 
-// linearGap is the reference gap-filling implementation (the old sorted
-// slice): the treap must book bit-identically against it.
+// linearGap is the reference gap-filling implementation: a sorted slice
+// that never prunes. GapResource must book bit-identically against it.
 type linearGap struct{ iv []struct{ s, e Time } }
 
 func (l *linearGap) acquire(at, dur Time) (Time, Time) {
@@ -454,10 +454,11 @@ func (l *linearGap) acquire(at, dur Time) (Time, Time) {
 	return s, e
 }
 
-// TestGapResourceMatchesLinearReference drives the treap and the
+// TestGapResourceMatchesLinearReference drives GapResource and the
 // reference slice implementation with identical random request streams
-// (including clock advancement and pruning on the treap side) and
-// requires identical bookings — the refactor's bit-identical guarantee.
+// (including clock advancement and pruning on the GapResource side) and
+// requires identical bookings: pruning and the interval-run layout change
+// cost, never results.
 func TestGapResourceMatchesLinearReference(t *testing.T) {
 	rng := NewRNG(12345)
 	var now Time
@@ -469,7 +470,7 @@ func TestGapResourceMatchesLinearReference(t *testing.T) {
 		s1, e1 := r.Acquire(at, dur)
 		s2, e2 := ref.acquire(at, dur)
 		if s1 != s2 || e1 != e2 {
-			t.Fatalf("op %d: treap [%v,%v) != reference [%v,%v) for Acquire(%v,%v)",
+			t.Fatalf("op %d: GapResource [%v,%v) != reference [%v,%v) for Acquire(%v,%v)",
 				op, s1, e1, s2, e2, at, dur)
 		}
 		if op%64 == 63 {
@@ -479,7 +480,7 @@ func TestGapResourceMatchesLinearReference(t *testing.T) {
 		}
 	}
 	if r.Intervals() > ref.count() {
-		t.Fatalf("treap holds %d intervals, reference %d", r.Intervals(), ref.count())
+		t.Fatalf("GapResource holds %d intervals, reference %d", r.Intervals(), ref.count())
 	}
 }
 
@@ -498,6 +499,31 @@ func TestGapResourcePruneWithClock(t *testing.T) {
 	}
 	if r.FreeAt() != 2005 {
 		t.Fatalf("FreeAt = %v", r.FreeAt())
+	}
+}
+
+// TestGapResourceKeepsIntervalEndingAtClock replays the fuzzer-found
+// stream in testdata/fuzz/FuzzGapResource/prune-ends-at-clock. [96,144)
+// ends exactly at the clock when [144,192) is booked, so the two must
+// merge; pruning [96,144) first would leave a zero-width gap at 144 and
+// answer the zero-duration request there instead of at the merged end.
+func TestGapResourceKeepsIntervalEndingAtClock(t *testing.T) {
+	var now Time
+	r := NewGapResource(Lit("x"), func() Time { return now })
+	for i, q := range []struct{ now, at, dur, start Time }{
+		{48, 96, 48, 96},
+		{96, 144, -35, 144},
+		{144, 144, 48, 144},
+		{144, 144, -35, 192},
+	} {
+		now = q.now
+		if s, _ := r.Acquire(q.at, q.dur); s != q.start {
+			t.Fatalf("request %d Acquire(%v, %v) at clock %v starts at %v, want %v",
+				i, q.at, q.dur, now, s, q.start)
+		}
+	}
+	if n := r.Intervals(); n != 1 {
+		t.Fatalf("Intervals = %d, want the single merged [96,192)", n)
 	}
 }
 

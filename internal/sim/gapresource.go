@@ -8,46 +8,42 @@ package sim
 // clock ran far ahead must not block an independent, earlier-ready
 // transfer posted a moment later.
 //
-// The interval set is a treap augmented with subtree summaries (earliest
-// start/end, latest end, widest internal gap), giving O(log n) insertion
-// with neighbour merging and a gap search that skips subtrees which
-// cannot contain a fitting hole. Booking results are bit-identical to a
-// linear sorted-slice implementation: the (earliest gap >= ready time)
-// answer is unique, so only the cost changes.
+// The interval set is one flat run, buf[head:], sorted, disjoint and
+// non-adjacent. A booking binary-searches the first interval ending after
+// its ready time, scans forward to the first gap wide enough and inserts
+// or merges in place. On loaded torus links a run holds one to two
+// hundred live intervals and a gap-filling booking lands within about a
+// hundred of the tail, where a contiguous scan and copy beat a balanced
+// tree. The cost is O(k) in the intervals between the ready time and the
+// chosen gap: a backlog of thousands of live intervals with no hole wide
+// enough makes every booking scan all of them. Results equal a linear
+// sorted-slice implementation: the (earliest gap >= ready time) answer is
+// unique.
 //
-// Every gap resource has a clock (the owning engine's Now); intervals
-// wholly in the dead past — no future request may ask for time before
-// now — are pruned exactly, so memory is bounded by in-flight bookings
-// with no lossy cap.
+// Every gap resource has a clock (the owning engine's Now); no request
+// may ask for time before now, so an interval that ended strictly before
+// now can neither hold a gap nor merge with a new booking and is pruned
+// exactly. An interval ending at now is kept: a booking starting at now
+// still merges with it. Memory is bounded by in-flight bookings with no
+// lossy cap.
 type GapResource struct {
 	name      Name
 	clock     func() Time
-	root      *gnode
-	pool      *gnode // free-list of recycled nodes, linked through l
-	prioSeq   uint64
-	count     int
+	buf       []span // buf[head:] are the live intervals; buf[:head] are dead
+	head      int
 	busyTotal Time
 	acquires  uint64
 	freeAt    Time // end of the last interval ever booked (pruning never lowers it)
 	probe     Probe
 }
 
-// gnode is one busy interval [s, e) plus treap linkage and subtree
-// summaries for the augmented search.
-type gnode struct {
-	s, e   Time
-	prio   uint64
-	l, r   *gnode
-	minS   Time // earliest interval start in this subtree
-	minE   Time // earliest interval end in this subtree
-	maxE   Time // latest interval end in this subtree
-	maxGap Time // widest gap strictly between intervals of this subtree
-}
+// span is one busy interval [s, e).
+type span struct{ s, e Time }
 
 // NewGapResource returns an idle gap-filling resource. The clock is
 // mandatory: it is what allows exact pruning of dead intervals, and a
-// resource without one would either leak or (as the old implementation
-// did) silently drop potentially-live bookings past an arbitrary cap.
+// resource without one would either leak or silently drop
+// potentially-live bookings past an arbitrary cap.
 func NewGapResource(name Name, clock func() Time) *GapResource {
 	r := &GapResource{}
 	InitGapResource(r, name, clock)
@@ -79,18 +75,17 @@ func (r *GapResource) Acquire(at, dur Time) (start, end Time) {
 	}
 	r.acquires++
 	r.busyTotal += dur
-	if r.root != nil {
-		if now := r.clock(); r.root.minE <= now {
-			r.root = r.dropDead(r.root, now)
-		}
+	now := r.clock()
+	for r.head < len(r.buf) && r.buf[r.head].e < now {
+		r.head++
 	}
-	s, ok, out := findSlot(r.root, at, dur)
-	if !ok {
-		s = out // no internal gap fits: book right after the last conflict
+	if r.head == len(r.buf) {
+		r.buf, r.head = r.buf[:0], 0
 	}
+	i, s := r.slot(at, dur)
 	start, end = s, s+dur
 	if dur > 0 {
-		r.insert(start, end)
+		r.insert(i, start, end)
 		if end > r.freeAt {
 			r.freeAt = end
 		}
@@ -106,263 +101,72 @@ func (r *GapResource) Peek(at, dur Time) (start, end Time) {
 	if dur < 0 {
 		dur = 0
 	}
-	s, ok, out := findSlot(r.root, at, dur)
-	if !ok {
-		s = out
-	}
+	_, s := r.slot(at, dur)
 	return s, s + dur
 }
 
-// findSlot searches n's subtree, in interval order, for the earliest gap
-// at or after pos that fits dur. It returns the gap start when found;
-// otherwise outPos is the earliest time after every conflicting interval
-// seen so far (the caller books there). Subtrees that start before pos
-// and contain no gap wide enough are skipped via the maxGap summary.
-func findSlot(n *gnode, pos, dur Time) (start Time, found bool, outPos Time) {
-	if n == nil {
-		return 0, false, pos
+// slot finds the earliest gap at or after at that fits dur. It returns
+// the gap's start and the index of the first interval after it (len(buf)
+// when the booking goes past every interval).
+func (r *GapResource) slot(at, dur Time) (int, Time) {
+	buf := r.buf
+	lo, hi := r.head, len(buf)
+	if hi > lo && buf[hi-1].e <= at {
+		return hi, at // past the tail: the common append
 	}
-	if n.maxE <= pos || (n.minS-pos < dur && n.maxGap < dur) {
-		// Nothing in this subtree can fit: it lies entirely before pos
-		// (disjoint sorted intervals have sorted ends, so maxE bounds the
-		// whole subtree), or neither the gap before its first interval
-		// nor any internal gap is wide enough. Skip past it entirely.
-		if n.maxE > pos {
-			pos = n.maxE
-		}
-		return 0, false, pos
-	}
-	if start, found, pos = findSlot(n.l, pos, dur); found {
-		return start, true, pos
-	}
-	if n.s-pos >= dur {
-		return pos, true, pos
-	}
-	if n.e > pos {
-		pos = n.e
-	}
-	return findSlot(n.r, pos, dur)
-}
-
-// insert adds [s, e) to the interval set, merging touching neighbours so
-// the set stays disjoint and non-adjacent.
-func (r *GapResource) insert(s, e Time) {
-	if r.root == nil {
-		r.root = r.node(s, e)
-		return
-	}
-	if s >= r.root.maxE {
-		// Appending past every existing interval: the overwhelmingly
-		// common case for busy engines. Touching the rightmost interval
-		// extends it in place; otherwise hang a new rightmost node.
-		if s == r.root.maxE {
-			extendRight(r.root, e)
-			return
-		}
-		r.root = r.insertNode(r.root, r.node(s, e))
-		return
-	}
-	if p := predecessor(r.root, s); p != nil && p.e == s {
-		s = p.s
-		r.root = r.remove(r.root, p.s)
-	}
-	if n := exact(r.root, e); n != nil {
-		e = n.e
-		r.root = r.remove(r.root, n.s)
-	}
-	r.root = r.insertNode(r.root, r.node(s, e))
-}
-
-// extendRight grows the rightmost interval's end to e, refreshing
-// summaries on the way back up.
-func extendRight(n *gnode, e Time) {
-	if n.r != nil {
-		extendRight(n.r, e)
-	} else {
-		n.e = e
-	}
-	upd(n)
-}
-
-// predecessor returns the interval with the greatest start < s, or nil.
-func predecessor(n *gnode, s Time) *gnode {
-	var best *gnode
-	for n != nil {
-		if n.s < s {
-			best = n
-			n = n.r
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if buf[m].e > at {
+			hi = m
 		} else {
-			n = n.l
+			lo = m + 1
 		}
 	}
-	return best
-}
-
-// exact returns the interval starting exactly at s, or nil.
-func exact(n *gnode, s Time) *gnode {
-	for n != nil {
-		switch {
-		case s < n.s:
-			n = n.l
-		case s > n.s:
-			n = n.r
-		default:
-			return n
+	pos := at
+	for _, v := range buf[lo:] {
+		if v.s-pos >= dur {
+			break
 		}
+		pos = v.e // ends are sorted and every one from lo on is > at
+		lo++
 	}
-	return nil
+	return lo, pos
 }
 
-// insertNode places nn (a fresh, summary-initialised node) by treap
-// priority: rotations are expressed as a split at nn's key.
-func (r *GapResource) insertNode(n, nn *gnode) *gnode {
-	if n == nil {
-		return nn
-	}
-	if nn.prio < n.prio {
-		nn.l, nn.r = split(n, nn.s)
-		upd(nn)
-		return nn
-	}
-	if nn.s < n.s {
-		n.l = r.insertNode(n.l, nn)
-	} else {
-		n.r = r.insertNode(n.r, nn)
-	}
-	upd(n)
-	return n
-}
-
-// split partitions n's subtree into starts < key and starts >= key.
-func split(n *gnode, key Time) (l, rr *gnode) {
-	if n == nil {
-		return nil, nil
-	}
-	if n.s < key {
-		n.r, rr = split(n.r, key)
-		upd(n)
-		return n, rr
-	}
-	l, n.l = split(n.l, key)
-	upd(n)
-	return l, n
-}
-
-// remove deletes the interval starting at s (which must exist).
-func (r *GapResource) remove(n *gnode, s Time) *gnode {
-	if n == nil {
-		panic("sim: gap interval missing")
-	}
+// insert adds [s, e), which lies in the gap just before buf[i], merging
+// touching neighbours so the run stays disjoint and non-adjacent.
+func (r *GapResource) insert(i int, s, e Time) {
+	left := i > r.head && r.buf[i-1].e == s
+	right := i < len(r.buf) && r.buf[i].s == e
 	switch {
-	case s < n.s:
-		n.l = r.remove(n.l, s)
-	case s > n.s:
-		n.r = r.remove(n.r, s)
+	case left && right:
+		r.buf[i-1].e = r.buf[i].e
+		r.buf = r.buf[:i+copy(r.buf[i:], r.buf[i+1:])]
+	case left:
+		r.buf[i-1].e = e
+	case right:
+		r.buf[i].s = s
 	default:
-		res := merge(n.l, n.r)
-		r.release(n)
-		return res
-	}
-	upd(n)
-	return n
-}
-
-// merge joins two subtrees where every start in a precedes every start
-// in b.
-func merge(a, b *gnode) *gnode {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.prio < b.prio {
-		a.r = merge(a.r, b)
-		upd(a)
-		return a
-	}
-	b.l = merge(a, b.l)
-	upd(b)
-	return b
-}
-
-// dropDead removes every interval ending at or before now. The minE
-// summary prunes clean subtrees without visiting them.
-func (r *GapResource) dropDead(n *gnode, now Time) *gnode {
-	if n == nil || n.minE > now {
-		return n
-	}
-	n.l = r.dropDead(n.l, now)
-	if n.e <= now {
-		right := r.dropDead(n.r, now)
-		r.release(n)
-		return right
-	}
-	upd(n)
-	return n
-}
-
-// node takes a pooled record (or allocates) for interval [s, e). The
-// treap priority is a deterministic hash of an insertion counter, so tree
-// shape — and therefore cost, but never results — is reproducible.
-func (r *GapResource) node(s, e Time) *gnode {
-	n := r.pool
-	if n != nil {
-		r.pool = n.l
-	} else {
-		//simlint:allow hotpathalloc -- treap node pool miss path: allocates only while the pool is empty; steady state recycles (the pool is per-GapResource, which is per-NIC and so shard-local in the parallel window)
-		n = &gnode{}
-	}
-	r.prioSeq++
-	*n = gnode{s: s, e: e, prio: Mix(r.prioSeq)}
-	upd(n)
-	r.count++
-	return n
-}
-
-// release returns a node to the pool.
-func (r *GapResource) release(n *gnode) {
-	n.r = nil
-	n.l = r.pool
-	r.pool = n
-	r.count--
-}
-
-// upd recomputes n's subtree summaries from its children. In-order starts
-// are sorted and intervals disjoint, so ends are sorted too: minS/minE
-// come from the leftmost path, maxE from the rightmost.
-func upd(n *gnode) {
-	if n.l != nil {
-		n.minS, n.minE = n.l.minS, n.l.minE
-	} else {
-		n.minS, n.minE = n.s, n.e
-	}
-	if n.r != nil {
-		n.maxE = n.r.maxE
-	} else {
-		n.maxE = n.e
-	}
-	g := Time(0)
-	if n.l != nil {
-		g = n.l.maxGap
-		if d := n.s - n.l.maxE; d > g {
-			g = d
+		if len(r.buf) == cap(r.buf) {
+			// Full: move the live run to the front over the dead prefix,
+			// or into a larger buffer when nothing is dead.
+			live, dst := r.buf[r.head:], r.buf
+			if r.head == 0 {
+				//simlint:allow hotpathalloc -- interval run growth: the buffer doubles up to the resource's peak live interval count and steady state reuses it (per-GapResource, so per-NIC and shard-local in the parallel window)
+				dst = make([]span, 2*len(live)+4)
+			}
+			i -= r.head
+			r.buf, r.head = dst[:copy(dst, live)], 0
 		}
+		r.buf = r.buf[:len(r.buf)+1]
+		copy(r.buf[i+1:], r.buf[i:])
+		r.buf[i] = span{s, e}
 	}
-	if n.r != nil {
-		if n.r.maxGap > g {
-			g = n.r.maxGap
-		}
-		if d := n.r.minS - n.e; d > g {
-			g = d
-		}
-	}
-	n.maxGap = g
 }
 
 // Intervals reports how many disjoint busy intervals are currently held
 // (diagnostic; dead intervals count until the next Acquire prunes them).
-func (r *GapResource) Intervals() int { return r.count }
+func (r *GapResource) Intervals() int { return len(r.buf) - r.head }
 
 // FreeAt reports the time after which the resource is idle forever given
 // current bookings (the end of the last interval). It does not depend on
@@ -390,9 +194,7 @@ func (r *GapResource) Utilization(window Time) float64 {
 
 // Reset returns the resource to idle and clears statistics.
 func (r *GapResource) Reset() {
-	for r.root != nil {
-		r.root = r.remove(r.root, r.root.s)
-	}
+	r.buf, r.head = r.buf[:0], 0
 	r.busyTotal = 0
 	r.acquires = 0
 	r.freeAt = 0

@@ -2,16 +2,20 @@ package sim
 
 import "testing"
 
-// FuzzGapResource drives the treap-backed GapResource and the linear
-// sorted-slice reference (linearGap) with one request stream decoded from
-// the input, three bytes per request: a clock advance, a ready offset
-// from the clock, and a signed duration. After every booking the two
+// FuzzGapResource drives GapResource and the linear sorted-slice
+// reference (linearGap) with one request stream decoded from the input,
+// three bytes per request: a clock advance, a ready offset from the
+// clock, and a signed duration. After every booking the two
 // must agree on start and end, and the resource's BusyTotal, Acquires
 // and FreeAt must match the reference's ground truth. The clock only
 // moves forward and requests never ask for time before it — the contract
 // that lets the resource prune dead intervals (a sharded kernel's
 // WindowFloor clock is exactly such a monotone lower bound) — so pruning
-// runs throughout while the reference keeps every interval.
+// runs throughout while the reference keeps every interval. The seed
+// corpus covers reclaiming the dead prefix of a full run before a
+// mid-run insert (compact-dead-prefix), a booking that merges both
+// neighbours (merge-both-neighbours) and an interval ending exactly at
+// the clock (prune-ends-at-clock).
 func FuzzGapResource(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var now Time

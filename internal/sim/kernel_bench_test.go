@@ -18,13 +18,16 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkGapResourceAcquire measures gap-filling bookings under two
+// BenchmarkGapResourceAcquire measures gap-filling bookings under three
 // interval mixes:
 //
 //   - dense: requests land contiguously, so intervals merge and the live
 //     set stays tiny (the common NIC-engine case);
 //   - sparse: requests leave holes, so the live set grows until the clock
-//     sweeps past and pruning reclaims it (the loaded torus-link case).
+//     sweeps past and pruning reclaims it (the loaded torus-link case);
+//   - backlog: 4,096 live intervals whose holes are all narrower than the
+//     request, so every booking scans the whole run before extending its
+//     last interval (the worst case of the O(k) gap scan).
 func BenchmarkGapResourceAcquire(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		var now Time
@@ -49,6 +52,16 @@ func BenchmarkGapResourceAcquire(b *testing.B) {
 				now += 512 * 20
 			}
 			i++
+		}
+	})
+	b.Run("backlog", func(b *testing.B) {
+		r := NewGapResource(Lit("x"), zeroClock)
+		for i := range 4096 {
+			r.Acquire(Time(i)*20, 10)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			r.Acquire(0, 11)
 		}
 	})
 }
