@@ -13,32 +13,17 @@ import (
 
 // benchBudget is the checked-in wall-clock budget for `simlint -bench`
 // (cmd/simlint/budget.json). The numbers carry ~4x headroom over a warm
-// local run so real regressions — an analyzer going quadratic, the
-// points-to solve blowing up — trip the gate while CI jitter does not.
+// local run so real regressions — an analyzer or a shared whole-program
+// pass going quadratic — trip the gate while CI jitter does not.
 type benchBudget struct {
 	// LoadSeconds bounds package loading and type-checking.
 	LoadSeconds float64 `json:"load_seconds"`
 	// AnalysisSeconds bounds the summed analyzer time.
 	AnalysisSeconds float64 `json:"analysis_seconds"`
-	// AnalyzerSeconds bounds any single analyzer. The first shard-family
-	// analyzer also pays for the shared points-to solve (lazily built,
-	// attributed to its forcer), so this is several times larger than any
-	// individual scan.
+	// AnalyzerSeconds bounds any single analyzer. Shared lazily built
+	// state (the call graph, the protocol context) is attributed to the
+	// first analyzer that forces it.
 	AnalyzerSeconds float64 `json:"analyzer_seconds"`
-	// PerAnalyzerSeconds overrides AnalyzerSeconds for named analyzers.
-	// The protoflow typestate family is budgeted here, well under the
-	// points-to-sized default: the engine's summaries are memoized, so a
-	// blow-up past these lines means the summary composition went
-	// super-linear.
-	PerAnalyzerSeconds map[string]float64 `json:"per_analyzer_seconds"`
-}
-
-// cap returns the wall-clock bound for one analyzer.
-func (b *benchBudget) cap(analyzer string) float64 {
-	if s, ok := b.PerAnalyzerSeconds[analyzer]; ok {
-		return s
-	}
-	return b.AnalyzerSeconds
 }
 
 // runBench times each analyzer over the loaded packages, prints the
@@ -69,8 +54,8 @@ func runBench(pkgs []*framework.Package, load time.Duration, budgetPath string) 
 	for _, tm := range timings {
 		total += tm.Elapsed
 		over := ""
-		if cap := budget.cap(tm.Analyzer); tm.Elapsed.Seconds() > cap {
-			over = fmt.Sprintf("  OVER BUDGET (%.1fs)", cap)
+		if tm.Elapsed.Seconds() > budget.AnalyzerSeconds {
+			over = fmt.Sprintf("  OVER BUDGET (%.1fs)", budget.AnalyzerSeconds)
 			bad++
 		}
 		fmt.Printf("%-16s %9.1fms%s\n", tm.Analyzer, float64(tm.Elapsed.Microseconds())/1000, over)

@@ -18,7 +18,10 @@
 // suppression in the analyzed packages with its justification, so the
 // complete audit trail of accepted exceptions is one command away. With
 // -json the audit is emitted as {analyzer, file, line, col, reason}
-// objects. -audit exits nonzero only if a suppression lacks a reason.
+// objects. -audit exits nonzero if a suppression lacks a reason or if any
+// `//simlint:` directive uses a verb outside the closed grammar (allow,
+// rank-handoff, hotpath, acquire, release, proto), which would otherwise
+// do nothing.
 //
 // -rules skips analysis and prints every registered analyzer with its
 // one-line contract and, where the analyzer consumes `//simlint:`
@@ -92,7 +95,8 @@ func main() {
 }
 
 // runAudit lists every suppression and returns the process exit code:
-// nonzero when any allow lacks a justification.
+// nonzero when any allow lacks a justification or any directive has an
+// unknown verb.
 func runAudit(pkgs []*framework.Package, jsonOut bool) int {
 	sups := framework.Suppressions(pkgs)
 	bare := 0
@@ -114,11 +118,21 @@ func runAudit(pkgs []*framework.Package, jsonOut bool) int {
 		}
 		fmt.Fprintf(os.Stderr, "simlint: %d suppression(s)\n", len(sups))
 	}
+	unknown := framework.UnknownDirectives(pkgs)
+	for _, d := range unknown {
+		fmt.Fprintf(os.Stderr, "%s:%d:%d: unknown directive //simlint:%s (not in the grammar of DESIGN.md §6)\n",
+			d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Verb)
+	}
+	code := 0
 	if bare > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d suppression(s) without a justification\n", bare)
-		return 1
+		code = 1
 	}
-	return 0
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "simlint: %d directive(s) with an unknown verb\n", len(unknown))
+		code = 1
+	}
+	return code
 }
 
 // emitJSON writes a rendered JSON document to stdout, exiting on error.

@@ -20,7 +20,7 @@ type jsonDiag struct {
 }
 
 // jsonSuppression is the -audit -json wire form of one audited exception:
-// an allow directive or a shard-worker protocol site.
+// an allow directive or a proto binding.
 type jsonSuppression struct {
 	Directive string `json:"directive"`
 	Analyzer  string `json:"analyzer"`

@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -22,14 +24,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden JSON schema fi
 func TestDiagsJSONGolden(t *testing.T) {
 	diags := []framework.Diagnostic{
 		{
-			Analyzer: "shardescape",
-			Pos:      token.Position{Filename: "internal/sim/shard.go", Line: 42, Column: 7},
-			Message:  "shard worker writes non-owned state (coordinator horizon)",
+			Analyzer: "poolleak",
+			Pos:      token.Position{Filename: "internal/machine/ugnimachine/layer.go", Line: 42, Column: 7},
+			Message:  "pooled value ack acquired here is neither released nor transferred on some path",
 		},
 		{
-			Analyzer: "windowsend",
-			Pos:      token.Position{Filename: "internal/sim/shard.go", Line: 99, Column: 3},
-			Message:  "shard worker schedules through the coordinator (ShardedEngine.At)",
+			Analyzer: "bookviakernel",
+			Pos:      token.Position{Filename: "internal/charm/array.go", Line: 99, Column: 3},
+			Message:  "direct kernel booking sim.Engine.AtArg from internal/charm",
 		},
 	}
 	got, err := renderDiagsJSON(diags)
@@ -90,5 +92,28 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("%s drifted from the golden schema\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
+// TestAuditRejectsUnknownVerb runs the audit over a package whose only
+// directives are a justified allow and a typo of it: the typo would
+// suppress nothing, so the audit must fail instead of passing it by.
+func TestAuditRejectsUnknownVerb(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", `package p
+
+func f() {
+	//simlint:allow maporder -- justified
+	_ = 1
+	//simlint:alow maporder -- typo
+	_ = 2
+}
+`, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*framework.Package{{PkgPath: "p", Fset: fset, Syntax: []*ast.File{f}}}
+	if code := runAudit(pkgs, true); code != 1 {
+		t.Errorf("audit exit code = %d, want 1", code)
 	}
 }

@@ -101,9 +101,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // AnalyzerTiming is one analyzer's wall-clock cost across every analyzed
-// package in a RunTimed call. Shared lazily-built state (the points-to
-// solution, the shard context) is attributed to the first analyzer that
-// forces it, so the first shard-family entry carries the solve.
+// package in a RunTimed call. Shared lazily-built state (the call graph,
+// the protocol context) is attributed to the first analyzer that forces
+// it.
 type AnalyzerTiming struct {
 	Analyzer string
 	Elapsed  time.Duration

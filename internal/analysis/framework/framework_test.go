@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -70,6 +72,25 @@ func b() {
 	}
 	if ds[1].Verb != "allow" || ds[1].Args != "maporder -- reason text" {
 		t.Errorf("directive 1 = %+v", ds[1])
+	}
+}
+
+// TestUnknownDirectives pins the closed directive grammar over
+// testdata/verbs.go: the six grammar verbs pass, and a typo plus the four
+// retired shard-ownership verbs are listed in position order.
+func TestUnknownDirectives(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "verbs.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := parseOne(t, "verbs.go", string(src))
+	var got []string
+	for _, d := range UnknownDirectives([]*Package{pkg}) {
+		got = append(got, d.Verb)
+	}
+	want := []string{"alow", "shared", "outbox", "outbox-transfer", "shard-worker"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unknown verbs = %q, want %q", got, want)
 	}
 }
 

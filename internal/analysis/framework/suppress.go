@@ -7,22 +7,14 @@ import (
 	"strings"
 )
 
-// Directive is one `//simlint:<verb> <args>` comment. The grammar
-// (documented in DESIGN.md "Determinism rules" / "Ownership rules"):
+// Directive is one `//simlint:<verb> <args>` comment. The grammar is
+// closed (documented in DESIGN.md §6):
 //
 //	//simlint:allow <analyzer> -- <reason>   suppress one finding, with an audit trail
 //	//simlint:rank-handoff                   mark the audited AMPI thread handoff
-//	//simlint:shard-worker -- <reason>       mark an audited sharded-kernel window-worker site
 //	//simlint:hotpath                        doc comment: hot-path root for the call graph
 //	//simlint:acquire                        doc comment: function returns pooled/slab state
 //	//simlint:release                        doc comment: function releases pooled/slab state
-//	//simlint:outbox-transfer -- <reason>    doc comment: function is the audited cross-shard
-//	                                         hand-off verb (exempt from shardescape/windowsend)
-//	//simlint:shared -- <reason>             struct-field comment: deliberately shared across
-//	                                         shard workers (shardescape cut; atomic discipline
-//	                                         enforced by atomicshared)
-//	//simlint:outbox -- <reason>             struct-field comment: a cross-shard outbox slot
-//	                                         (singlewriter enforces one writer + barrier reads)
 //	//simlint:proto <protocol> <role> ...    doc/field/const comment: binds the declaration to
 //	                                         a protoflow typestate protocol (credit, flight,
 //	                                         event, retry) — the full grammar is printed by
@@ -34,9 +26,9 @@ import (
 // itself reported, so the repository can never accumulate unexplained
 // suppressions. The hotpath/acquire/release verbs annotate function
 // declarations and are consumed through Program (callgraph.go), not here.
-// The three shard-ownership verbs (outbox-transfer, shared, outbox) are
-// part of the audited-exception surface: each requires a reason and is
-// listed by `simlint -audit` (DESIGN.md §6, "Shard-ownership rules").
+// Any other verb — a typo like //simlint:alow, or a verb of a retired
+// analyzer — would do nothing, so `simlint -audit` rejects it (see
+// UnknownDirectives).
 type Directive struct {
 	Pos  token.Position
 	Verb string // "allow", "rank-handoff", ...
@@ -44,6 +36,41 @@ type Directive struct {
 }
 
 const directivePrefix = "//simlint:"
+
+// verbs is the closed directive grammar.
+var verbs = map[string]bool{
+	"allow":        true,
+	"rank-handoff": true,
+	"hotpath":      true,
+	"acquire":      true,
+	"release":      true,
+	"proto":        true,
+}
+
+// UnknownDirectives lists, in position order, every directive of the
+// given packages whose verb is outside the grammar.
+func UnknownDirectives(pkgs []*Package) []Directive {
+	var out []Directive
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			for _, d := range Directives(pkg.Fset, f) {
+				if !verbs[d.Verb] {
+					out = append(out, d)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return lineBefore(out[i].Pos, out[j].Pos) })
+	return out
+}
+
+// lineBefore orders positions by file, then line.
+func lineBefore(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	return a.Line < b.Line
+}
 
 // Directives extracts every simlint directive from a file.
 func Directives(fset *token.FileSet, f *ast.File) []Directive {
@@ -66,20 +93,19 @@ func Directives(fset *token.FileSet, f *ast.File) []Directive {
 }
 
 // Suppression is one audited exception directive — an `//simlint:allow` or
-// a `//simlint:shard-worker` protocol site — as listed by `simlint -audit`.
+// a `//simlint:proto` protocol binding — as listed by `simlint -audit`.
 type Suppression struct {
 	Pos      token.Position
-	Verb     string // "allow" or "shard-worker"
+	Verb     string // "allow" or "proto"
 	Analyzer string
 	Reason   string
 }
 
-// Suppressions lists every allow directive — plus every shard-worker
-// protocol site, which is an audited exception of the nogoroutine analyzer
-// — of the given packages in position order, for the driver's audit mode.
+// Suppressions lists every allow directive and every proto binding of the
+// given packages in position order, for the driver's audit mode.
 // Malformed directives (no reason) are included with an empty Reason — the
 // normal lint run already rejects bare allows, and the audit itself
-// rejects bare shard-worker sites.
+// rejects bare proto bindings.
 func Suppressions(pkgs []*Package) []Suppression {
 	var out []Suppression
 	for _, pkg := range pkgs {
@@ -92,24 +118,6 @@ func Suppressions(pkgs []*Package) []Suppression {
 						Pos:      d.Pos,
 						Verb:     d.Verb,
 						Analyzer: strings.TrimSpace(head),
-						Reason:   strings.TrimSpace(reason),
-					})
-				case "shard-worker":
-					_, reason, _ := strings.Cut(d.Args, "--")
-					out = append(out, Suppression{
-						Pos:      d.Pos,
-						Verb:     d.Verb,
-						Analyzer: "nogoroutine",
-						Reason:   strings.TrimSpace(reason),
-					})
-				case "outbox-transfer", "shared", "outbox":
-					// The shard-ownership protocol verbs: each marks an audited
-					// exception consumed by the shardsafe analyzer family.
-					_, reason, _ := strings.Cut(d.Args, "--")
-					out = append(out, Suppression{
-						Pos:      d.Pos,
-						Verb:     d.Verb,
-						Analyzer: "shardsafe",
 						Reason:   strings.TrimSpace(reason),
 					})
 				case "proto":
@@ -128,13 +136,7 @@ func Suppressions(pkgs []*Package) []Suppression {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
+	sort.Slice(out, func(i, j int) bool { return lineBefore(out[i].Pos, out[j].Pos) })
 	return out
 }
 

@@ -34,10 +34,9 @@ import (
 //     Recursion and unknown callees degrade to the identity summary
 //     {s} — the sound "no observable protocol effect" default, since
 //     every declared function is also analyzed as its own root.
-//   - Record identity uses the PR 7 points-to analysis: RecordKey maps
-//     a variable to its abstract allocation site when the solver
-//     resolves a unique one, so aliases of one record share a typestate
-//     cell instead of being tracked twice.
+//   - Record identity is per variable: RecordKey maps a variable to
+//     itself, so two locals aliasing one record are tracked as two
+//     cells. Every protocol site holds each record in one local.
 //
 // DESIGN.md §6 "Protocol typestate rules" documents the soundness
 // contract; the `//simlint:proto` annotation grammar that binds verbs
@@ -348,23 +347,14 @@ func (t *Typestate[S]) passFor(pkg *Package) *Pass {
 	return p
 }
 
-// CellKey is the points-to-backed record identity: the ID of the unique
-// abstract object a record variable refers to.
-type CellKey struct{ ID int }
-
-// RecordKey resolves the abstract record a variable denotes. When the
-// points-to solver resolves the variable to exactly one known allocation
-// site, that object's identity is the key — aliases of one record then
-// share a typestate cell. Otherwise the variable itself is the key
-// (per-function tracking, which is exact for the common
-// one-local-per-record idiom).
+// RecordKey resolves the typestate cell a record variable denotes: the
+// variable itself. Tracking is per variable, which is exact for the
+// one-local-per-record idiom every protocol site uses; two locals that
+// alias one record get two independent cells (DESIGN.md §6 "Protocol
+// typestate rules" says why no protocol site needs more).
 func (t *Typestate[S]) RecordKey(v *types.Var) any {
 	if v == nil {
 		return nil
-	}
-	objs := t.Prog.PointsTo().VarPointsTo(v)
-	if len(objs) == 1 && objs[0].Kind != ObjUnknown {
-		return CellKey{objs[0].ID}
 	}
 	return v
 }

@@ -17,13 +17,9 @@ import (
 // and every mutant must fail `make lint` (exit 1) with a finding from
 // the expected analyzer.
 //
-// The four shardsafe rows seed the races the parallel-window kernel
-// design forbids: a worker-loop store into the coordinator's global
-// clock, a dropped atomic on the live-descriptor counter, a
-// second outbox producer, and a direct past-window send through the
-// coordinator. The next two rows automate PR 4's manual ablation on the
-// shipped machine layer: deleting a single descriptor Put, and deleting
-// a slab release from Layer.Close. The last three rows seed the protocol
+// The first two rows automate PR 4's manual ablation on the shipped
+// machine layer: deleting a single descriptor Put, and deleting a slab
+// release from Layer.Close. The last three rows seed the protocol
 // defects the protoflow typestate family proves absent: severing the
 // credit drain from its EvCreditReturn dispatch, dropping the
 // credit-flight Put so the completion callback leaves the record zeroed
@@ -35,52 +31,14 @@ type edit struct {
 }
 
 type ablationRow struct {
-	name      string
-	file      string // module-relative file to mutate
-	edits     []edit // each must apply exactly once
-	appendSrc string // appended verbatim after the edits
-	analyzer  string // the analyzer that must report the mutant
+	name     string
+	file     string // module-relative file to mutate
+	edits    []edit // each must apply exactly once
+	analyzer string // the analyzer that must report the mutant
 }
 
 func ablationRows() []ablationRow {
 	return []ablationRow{
-		{
-			name: "cross-shard alias from the worker loop",
-			file: "internal/sim/shard.go",
-			edits: []edit{{
-				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "n := sh.eng.RunUntil(horizon - 1)\n\t\t\t\tsh.se.now = Time(n)",
-			}},
-			analyzer: "shardescape",
-		},
-		{
-			name: "dropped atomic on the live-descriptor counter",
-			file: "internal/mem/freelist.go",
-			edits: []edit{
-				{old: "var live atomic.Int64", new: "var live int64"},
-				{old: "live.Add(1)", new: "atomic.AddInt64(&live, 1)"},
-				{old: "live.Add(-1)", new: "live--"},
-				{old: "live.Load()", new: "live"},
-			},
-			analyzer: "atomicshared",
-		},
-		{
-			name: "second outbox producer",
-			file: "internal/sim/shard.go",
-			appendSrc: "\n//simlint:outbox-transfer -- mutant: duplicate producer racing Send\n" +
-				"func (s *Shard) SendDup(dst int, at Time) {\n" +
-				"\ts.out[dst] = append(s.out[dst], crossEvent{})\n}\n",
-			analyzer: "singlewriter",
-		},
-		{
-			name: "direct past-window send through the coordinator",
-			file: "internal/sim/shard.go",
-			edits: []edit{{
-				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "sh.se.AtArg(horizon, func(any) {}, nil)\n\t\t\t\tn := sh.eng.RunUntil(horizon - 1)",
-			}},
-			analyzer: "windowsend",
-		},
 		{
 			name: "deleted descriptor Put (PR 4 ablation, automated)",
 			file: "internal/machine/ugnimachine/layer.go",
@@ -154,7 +112,7 @@ func TestMutationAblation(t *testing.T) {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
 			dir := copyModule(t, repo)
-			mutateFile(t, filepath.Join(dir, row.file), row.edits, row.appendSrc)
+			mutateFile(t, filepath.Join(dir, row.file), row.edits)
 			out, code := runLint(t, bin, dir)
 			if code != 1 {
 				t.Fatalf("mutant exited %d, want 1 (lint failure):\n%s", code, out)
@@ -206,8 +164,8 @@ func copyModule(t *testing.T, repo string) string {
 	return dst
 }
 
-// mutateFile applies each edit exactly once and appends appendSrc.
-func mutateFile(t *testing.T, path string, edits []edit, appendSrc string) {
+// mutateFile applies each edit exactly once.
+func mutateFile(t *testing.T, path string, edits []edit) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -220,7 +178,6 @@ func mutateFile(t *testing.T, path string, edits []edit, appendSrc string) {
 		}
 		text = strings.Replace(text, e.old, e.new, 1)
 	}
-	text += appendSrc
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}

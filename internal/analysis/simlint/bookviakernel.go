@@ -22,34 +22,12 @@ var schedulers = []string{"internal/sim", "internal/gemini", "internal/shm",
 var kernelSurface = map[string]map[string][]string{
 	"Engine": {
 		// Event scheduling: the kernel itself, the NIC engines, and the
-		// machine/scheduler layers that pump them.
+		// machine/scheduler layers that pump them. sim.Kernel is an alias
+		// of *Engine, so calls through it resolve to this entry too.
 		"Schedule":    schedulers,
 		"ScheduleArg": schedulers,
 		"At":          schedulers,
 		"AtArg":       schedulers,
-	},
-	// The Kernel interface and the sharded engine expose the same booking
-	// verbs; calls through either hit the same PR 1 boundary. Most callers
-	// hold a sim.Kernel, so the interface entry is the one doing the work.
-	"Kernel": {
-		"Schedule":    schedulers,
-		"ScheduleArg": schedulers,
-		"At":          schedulers,
-		"AtArg":       schedulers,
-	},
-	"ShardedEngine": {
-		"Schedule":    schedulers,
-		"ScheduleArg": schedulers,
-		"At":          schedulers,
-		"AtArg":       schedulers,
-	},
-	// Parallel-window shard handles: the kernel itself and the bench
-	// harness's shard-scale workloads (which are the parallel mode's
-	// direct consumers, like tests are for the flat engine).
-	"Shard": {
-		"At":    {"internal/sim", "internal/bench"},
-		"AtArg": {"internal/sim", "internal/bench"},
-		"Send":  {"internal/sim", "internal/bench"},
 	},
 	"GapResource": {
 		// Gemini link booking is the heart of the model: only the kernel

@@ -15,9 +15,10 @@ import (
 // zero-then-Put before exit. No path may drop a live flight (a leak the
 // pool never recovers), use one after retirement (the recycled-record
 // corruption poolleak cannot see because the Put happens in a different
-// function), or Put one that was never zeroed. The machine is per-record
-// — identity comes from the points-to cells, so aliases of one flight
-// share a state — and deliberately intraprocedural: the launch verb hands
+// function), or Put one that was never zeroed. The machine tracks each
+// record through the local that holds it (one cell per variable; two
+// locals aliasing one flight are two cells, see testdata alias.go) and is
+// deliberately intraprocedural: the launch verb hands
 // the record to the engine, and the annotated completion callback
 // independently proves the second half of the lifecycle (the composition
 // contract in DESIGN.md §6).

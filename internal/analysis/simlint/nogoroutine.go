@@ -2,7 +2,6 @@ package simlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -15,29 +14,22 @@ import (
 // reproducibility argument — nondeterministic thread interleaving is the
 // main obstacle to reproducible measurement).
 //
-// Two audited exceptions exist, both shape-verified:
-//
-// The AMPI rank-thread handoff in internal/ampi: each rank is a user-level
-// thread in strict lockstep with the scheduler via a resume/yield channel
-// pair, so at most one goroutine runs at any instant. Those sites carry
+// One audited, shape-verified exception exists: the AMPI rank-thread
+// handoff in internal/ampi. Each rank is a user-level thread in strict
+// lockstep with the scheduler via a resume/yield channel pair, so at most
+// one goroutine runs at any instant. Those sites carry
 // `//simlint:rank-handoff` (on the function's doc comment or the line above
 // the statement), and the analyzer verifies the annotated goroutine actually
 // follows the protocol: it must first block on <-resume and hand the PE back
 // with yield <- struct{}{}.
 //
-// The sharded-kernel window workers in internal/sim (and the bench point
-// workers built on the same shape): a coordinator hands a horizon to each
-// shard over a `work` channel and collects results over `done`, with a full
-// barrier between windows, so worker interleaving can never reorder events
-// (DESIGN.md §2.3). Those sites carry `//simlint:shard-worker -- <reason>`
-// and the analyzer verifies the spawned goroutine is exactly the worker
-// loop: a bare for whose first act is a two-value receive from `work`,
-// followed by `if !ok { return }`, and which reports on `done`.
+// The bench harness's point workers (internal/bench) run independent
+// simulations concurrently; they are outside simulation scope, and the
+// race detector, not this analyzer, checks what they share.
 var NoGoroutine = &framework.Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid goroutines and channel ops in simulation code, except the " +
-		"annotated (//simlint:rank-handoff) AMPI resume/yield handoff and the " +
-		"annotated (//simlint:shard-worker) sharded-kernel window workers",
+		"annotated (//simlint:rank-handoff) AMPI resume/yield handoff",
 	Run: runNoGoroutine,
 }
 
@@ -46,40 +38,29 @@ func runNoGoroutine(pass *framework.Pass) error {
 		return nil
 	}
 	inAmpi := under(rel(pass.PkgPath), "internal/ampi")
-	// The shard-worker protocol is confined to the kernel itself and the
-	// bench harness's point workers; annotations elsewhere don't count.
-	inShard := under(rel(pass.PkgPath), "internal/sim") ||
-		under(rel(pass.PkgPath), "internal/bench")
-	// Lines carrying a statement-level annotation, per file and verb.
+	// Lines carrying a statement-level annotation, per file.
 	rank := annotatedLines(pass, "rank-handoff")
-	shard := annotatedLines(pass, "shard-worker")
 	for _, fi := range pass.Functions() {
 		if fi.Decl == nil || isTestFile(pass, fi.Pos()) {
 			continue // literals are checked within their enclosing declaration
 		}
 		c := &goroutineCtx{
-			pass:           pass,
-			inAmpi:         inAmpi,
-			rankAnnotated:  lineChecker(pass, rank[fi.File]),
-			shardAnnotated: lineChecker(pass, shard[fi.File]),
-		}
-		if !inShard {
-			c.shardAnnotated = func(ast.Node) bool { return false }
+			pass:          pass,
+			inAmpi:        inAmpi,
+			rankAnnotated: lineChecker(pass, rank[fi.File]),
 		}
 		fd := fi.Decl
 		allowRank := inAmpi && (docDirective(fd, "rank-handoff") || c.rankAnnotated(fd))
-		allowShard := inShard && (docDirective(fd, "shard-worker") || c.shardAnnotated(fd))
-		c.walk(fd.Body, allowRank, allowShard)
+		c.walk(fd.Body, allowRank)
 	}
 	return nil
 }
 
 // goroutineCtx carries the per-function annotation state through the walk.
 type goroutineCtx struct {
-	pass           *framework.Pass
-	inAmpi         bool
-	rankAnnotated  func(ast.Node) bool
-	shardAnnotated func(ast.Node) bool
+	pass          *framework.Pass
+	inAmpi        bool
+	rankAnnotated func(ast.Node) bool
 }
 
 // annotatedLines collects, per file, the lines carrying a statement-level
@@ -110,45 +91,33 @@ func lineChecker(pass *framework.Pass, lines map[int]bool) func(ast.Node) bool {
 // walk checks one subtree. allowRank is true inside audited handoff code —
 // a function annotated with //simlint:rank-handoff, or the body of a
 // goroutine whose `go` statement carries the annotation — where the
-// resume/yield channel pair may be used. allowShard likewise permits the
-// work/done window-coordination channels inside //simlint:shard-worker
-// code. All other channels stay forbidden.
-func (c *goroutineCtx) walk(root ast.Node, allowRank, allowShard bool) {
+// resume/yield channel pair may be used. All other channels stay
+// forbidden.
+func (c *goroutineCtx) walk(root ast.Node, allowRank bool) {
 	pass := c.pass
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			shardAnn := allowShard || c.shardAnnotated(n)
 			rankAnn := allowRank || (c.inAmpi && c.rankAnnotated(n))
-			if shardAnn && !rankAnn {
-				if !shardWorkerShape(n) {
-					pass.Reportf(n.Pos(), "annotated shard-worker goroutine breaks the protocol: "+
-						"the worker must loop on a two-value receive from work, return when it "+
-						"is closed, and report on done")
-				}
-			} else {
-				checkGoStmt(pass, n, c.inAmpi, rankAnn)
-			}
+			checkGoStmt(pass, n, c.inAmpi, rankAnn)
 			// Descend manually so the protocol channels inside an
 			// annotated goroutine are permitted.
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				c.walk(lit.Body, rankAnn, shardAnn)
+				c.walk(lit.Body, rankAnn)
 				for _, arg := range n.Call.Args {
-					c.walk(arg, allowRank, allowShard)
+					c.walk(arg, allowRank)
 				}
 				return false
 			}
 		case *ast.SendStmt:
-			if !(allowRank && handoffChan(n.Chan)) && !(allowShard && shardChan(n.Chan)) {
+			if !(allowRank && handoffChan(n.Chan)) {
 				pass.Reportf(n.Pos(), "channel send in simulation code: "+
-					"only the annotated AMPI resume/yield handoff and the "+
-					"shard-worker window protocol may use channels")
+					"only the annotated AMPI resume/yield handoff may use channels")
 			}
 		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" && !(allowRank && handoffChan(n.X)) && !(allowShard && shardChan(n.X)) {
+			if n.Op.String() == "<-" && !(allowRank && handoffChan(n.X)) {
 				pass.Reportf(n.Pos(), "channel receive in simulation code: "+
-					"only the annotated AMPI resume/yield handoff and the "+
-					"shard-worker window protocol may use channels")
+					"only the annotated AMPI resume/yield handoff may use channels")
 			}
 		case *ast.SelectStmt:
 			pass.Reportf(n.Pos(), "select in simulation code: scheduling must be "+
@@ -160,7 +129,7 @@ func (c *goroutineCtx) walk(root ast.Node, allowRank, allowShard bool) {
 				}
 			}
 		case *ast.CallExpr:
-			checkChanBuiltins(pass, n, allowRank || allowShard)
+			checkChanBuiltins(pass, n, allowRank)
 		}
 		return true
 	})
@@ -179,57 +148,6 @@ func docDirective(fd *ast.FuncDecl, verb string) bool {
 		}
 	}
 	return false
-}
-
-// shardChan reports whether a channel expression names one of the two
-// audited window-coordination channels.
-func shardChan(x ast.Expr) bool {
-	return isNamed(x, "work") || isNamed(x, "done")
-}
-
-// shardWorkerShape checks the window-worker protocol on an annotated
-// goroutine: the body is exactly one bare for loop whose first statement is
-// a two-value receive from `work`, whose second statement returns when the
-// channel is closed, and which sends a result on `done`. Anything else —
-// extra statements before the loop, a conditional receive, a worker that
-// keeps running after `work` closes — is a protocol break, not a style
-// issue: the coordinator's barrier proof depends on this exact shape.
-func shardWorkerShape(g *ast.GoStmt) bool {
-	lit, ok := g.Call.Fun.(*ast.FuncLit)
-	if !ok || len(lit.Body.List) != 1 {
-		return false
-	}
-	loop, ok := lit.Body.List[0].(*ast.ForStmt)
-	if !ok || loop.Init != nil || loop.Cond != nil || loop.Post != nil || len(loop.Body.List) < 2 {
-		return false
-	}
-	recv, ok := loop.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(recv.Lhs) != 2 || len(recv.Rhs) != 1 {
-		return false
-	}
-	un, ok := recv.Rhs[0].(*ast.UnaryExpr)
-	if !ok || un.Op != token.ARROW || !isNamed(un.X, "work") {
-		return false
-	}
-	ifs, ok := loop.Body.List[1].(*ast.IfStmt)
-	if !ok || ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) != 1 {
-		return false
-	}
-	neg, ok := ifs.Cond.(*ast.UnaryExpr)
-	if !ok || neg.Op != token.NOT {
-		return false
-	}
-	if _, ok := ifs.Body.List[0].(*ast.ReturnStmt); !ok {
-		return false
-	}
-	reports := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if s, ok := n.(*ast.SendStmt); ok && isNamed(s.Chan, "done") {
-			reports = true
-		}
-		return true
-	})
-	return reports
 }
 
 // handoffChan reports whether a channel expression names one of the two

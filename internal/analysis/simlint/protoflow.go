@@ -365,11 +365,7 @@ func (c *protoCtx) constKind(info *types.Info, e ast.Expr) *eventKind {
 // selectorCreditRole resolves x.f to "window"/"account" when f is an
 // annotated credit field.
 func (c *protoCtx) selectorCreditRole(info *types.Info, sel *ast.SelectorExpr) string {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return ""
-	}
-	return c.creditFields[fieldKeyOfType(s.Recv(), sel.Sel.Name)]
+	return c.creditFields[fieldKeyOfSel(info, sel)]
 }
 
 // assignedCreditField reports the credit-field key an assignment writes,
@@ -385,14 +381,24 @@ func (c *protoCtx) assignedCreditField(info *types.Info, as *ast.AssignStmt) str
 	return ""
 }
 
-// fieldKeyOfSel is selectorFieldKey phrased on type information alone, so
-// protocol classifiers can run under summary-solve scratch passes.
+// fieldKeyOfSel resolves a field selector x.f to its "pkg.Type.f" key, ""
+// when it selects no field of a named type. It reads type information
+// alone, so protocol classifiers can run under summary-solve scratch
+// passes.
 func fieldKeyOfSel(info *types.Info, sel *ast.SelectorExpr) string {
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return ""
 	}
-	return fieldKeyOfType(s.Recv(), sel.Sel.Name)
+	t := s.Recv()
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + sel.Sel.Name
 }
 
 // fnAnn returns the first proto annotation of fn matching the prefix

@@ -5,9 +5,10 @@
 // that easy to break silently — wall-clock reads, the global math/rand
 // source, map iteration order, stray goroutines — and on breaching the
 // PR 1 kernel boundary (all NIC booking through internal/gemini's
-// engines). Each analyzer here pins one of those invariants; DESIGN.md
-// "Determinism rules" documents the contract and the `//simlint:`
-// annotation grammar.
+// engines). The machine layers' pool ownership and resource protocols can
+// likewise leak or wedge without a test noticing. Each analyzer here pins
+// one of those invariants on the one flat kernel, sim.Engine; DESIGN.md §6
+// documents the contracts and the closed `//simlint:` annotation grammar.
 //
 // Run via `go run ./cmd/simlint ./...` or `make lint`.
 package simlint
@@ -20,15 +21,13 @@ import (
 	"charmgo/internal/analysis/framework"
 )
 
-// Analyzers returns the full suite in stable order: the five determinism
-// analyzers from PR 2, the four ownership analyzers built on the
-// CFG/dataflow engine (framework/cfg.go, dataflow.go, callgraph.go), the
-// shardsafe family built on the interprocedural points-to analysis
-// (framework/pointsto.go) that proves the parallel-window kernel's
-// shard-ownership discipline, then the protoflow family built on the
-// interprocedural typestate engine (framework/typestate.go) that proves
-// the machine layers' resource protocols — credit conservation, flight
-// lifecycles, event-dispatch totality, bounded retry.
+// Analyzers returns the full suite of thirteen in stable order: the five
+// determinism analyzers from PR 2, the four ownership analyzers built on
+// the CFG/dataflow engine (framework/cfg.go, dataflow.go, callgraph.go),
+// then the protoflow family built on the interprocedural typestate engine
+// (framework/typestate.go) that proves the machine layers' resource
+// protocols — credit conservation, flight lifecycles, event-dispatch
+// totality, bounded retry.
 func Analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		NoWallClock,
@@ -40,10 +39,6 @@ func Analyzers() []*framework.Analyzer {
 		UseAfterRelease,
 		HotPathAlloc,
 		CloseChain,
-		ShardEscape,
-		AtomicShared,
-		SingleWriter,
-		WindowSend,
 		CreditBalance,
 		FlightLifecycle,
 		EventTotality,

@@ -58,26 +58,6 @@ func TestCloseChain(t *testing.T) {
 		"charmgo/internal/demo")
 }
 
-func TestShardEscapeFixture(t *testing.T) {
-	framework.RunFixture(t, fixtureRoot("shardescape"), ShardEscape,
-		"charmgo/internal/sim")
-}
-
-func TestAtomicSharedFixture(t *testing.T) {
-	framework.RunFixture(t, fixtureRoot("atomicshared"), AtomicShared,
-		"charmgo/internal/sim")
-}
-
-func TestSingleWriterFixture(t *testing.T) {
-	framework.RunFixture(t, fixtureRoot("singlewriter"), SingleWriter,
-		"charmgo/internal/sim")
-}
-
-func TestWindowSendFixture(t *testing.T) {
-	framework.RunFixture(t, fixtureRoot("windowsend"), WindowSend,
-		"charmgo/internal/sim")
-}
-
 func TestCreditBalanceFixture(t *testing.T) {
 	framework.RunFixture(t, fixtureRoot("creditbalance"), CreditBalance,
 		"charmgo/internal/demo")

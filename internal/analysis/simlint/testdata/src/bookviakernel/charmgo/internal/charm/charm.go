@@ -15,6 +15,12 @@ func Bad(e *sim.Engine, g *sim.GapResource, p *sim.PEResource, n sim.NICEngine) 
 	n.Enqueue(8)       // want `direct kernel booking sim\.NICEngine\.Enqueue from internal/charm`
 }
 
+// A Kernel-typed value is an *Engine, so booking through it is reported
+// under the Engine entry.
+func ViaKernel(k sim.Kernel) {
+	k.AtArg(0, nil, nil) // want `direct kernel booking sim\.Engine\.AtArg from internal/charm`
+}
+
 // Unguarded methods on kernel types stay callable from anywhere.
 func Fine(e *sim.Engine) sim.Time {
 	return e.Now()

@@ -11,6 +11,11 @@ func (e *Engine) Schedule(t Time, f func()) {}
 func (e *Engine) At(t Time, f func())       {}
 func (e *Engine) Now() Time                 { return 0 }
 
+func (e *Engine) AtArg(t Time, f func(any), arg any) {}
+
+// Kernel names the one kernel, as the real package does.
+type Kernel = *Engine
+
 type GapResource struct{}
 
 func (r *GapResource) Acquire(t, d Time) Time { return t }

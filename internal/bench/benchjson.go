@@ -76,7 +76,7 @@ func (e *suiteEntry) finish() BenchResult {
 // (one sample of each entry per round, not benchIters consecutive samples
 // per entry): host load drifts over the minutes a full recording takes,
 // and interleaving puts every entry's k-th sample under the same
-// conditions, so cross-entry comparisons (shards=1 vs shards=4) see the
+// conditions, so cross-entry comparisons (workers=1 vs workers=4) see the
 // drift as shared noise rather than as a spurious difference — the same
 // interleaved methodology the PR 3 baseline was recorded with.
 func measureAll(entries []*suiteEntry) []BenchResult {
@@ -140,22 +140,6 @@ func figWorkersEntry(id string, workers int) *suiteEntry {
 	}
 }
 
-// shardScaleEntry measures the fig13-shaped 100K+-rank halo workload on
-// the parallel-window kernel at the given shard count
-// (BenchmarkShardScale's suite twin; virtual-time results are identical
-// at every count).
-func shardScaleEntry(shards int) *suiteEntry {
-	cfg := ShardScaleConfig{Nodes: 1728, Steps: 4, Shards: shards, Parallel: true}
-	return &suiteEntry{
-		name: fmt.Sprintf("shardscale_shards%d", shards),
-		fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ShardScaleRun(cfg)
-			}
-		},
-	}
-}
-
 // resilienceEntries measures the two recovery strategies on their
 // killed paths (one failover / one rollback per op): the BENCH_PR10.json
 // wall-clock cost of the resilience machinery itself — DeadRoute
@@ -178,7 +162,7 @@ func resilienceEntries() []*suiteEntry {
 	}
 }
 
-// RunBenchSuite runs the fixed figure + sharded-kernel + kernel
+// RunBenchSuite runs the fixed figure + point fan-out + kernel
 // microbenchmark suite with interleaved sampling (see measureAll).
 func RunBenchSuite() []BenchResult {
 	entries := []*suiteEntry{{name: "fig9a_wallclock", fn: func(b *testing.B) {
@@ -195,9 +179,6 @@ func RunBenchSuite() []BenchResult {
 	for _, workers := range []int{1, 4} {
 		entries = append(entries, figWorkersEntry("fig9a", workers))
 		entries = append(entries, figWorkersEntry("fig13", workers))
-	}
-	for _, shards := range []int{1, 2, 4} {
-		entries = append(entries, shardScaleEntry(shards))
 	}
 	entries = append(entries, resilienceEntries()...)
 

@@ -116,14 +116,14 @@ func FigureFourPoint(size int, unit gemini.Unit, get bool) sim.Time {
 // mpiHost adapts a bare CPU set to mpi.Host for pure-MPI benchmarks. The
 // CPUs live in one slab (one allocation for the whole host).
 type mpiHost struct {
-	eng  sim.Kernel
+	eng  *sim.Engine
 	cpus []sim.PEResource
 }
 
 // hostPESlabs recycles the pure-MPI host's CPU slab across measurements.
 var hostPESlabs mem.SlabCache[sim.PEResource]
 
-func newMPIHost(eng sim.Kernel, n int) *mpiHost {
+func newMPIHost(eng *sim.Engine, n int) *mpiHost {
 	h := &mpiHost{eng: eng, cpus: hostPESlabs.Get(n)}
 	for i := range h.cpus {
 		sim.InitPEResource(&h.cpus[i], sim.Indexed("cpu", i, ""))
@@ -136,7 +136,7 @@ func (h *mpiHost) close() {
 	h.cpus = nil
 }
 
-func (h *mpiHost) Eng() sim.Kernel              { return h.eng }
+func (h *mpiHost) Eng() *sim.Engine             { return h.eng }
 func (h *mpiHost) CPU(rank int) *sim.PEResource { return &h.cpus[rank] }
 
 // PureMPIOneWay measures MPI ping-pong one-way latency. With sameBuf the

@@ -18,7 +18,6 @@ type unitEngine struct {
 	net      *Network
 	name     sim.Name
 	node     int
-	shard    int32 // owning shard of node (0 when the kernel is flat)
 	res      *sim.GapResource
 	overhead sim.Time // engine startup per transaction
 	bw       float64  // engine serialization bandwidth, bytes/ns
@@ -73,9 +72,8 @@ func (u *unitEngine) Transfer(dstNode, size int, ready sim.Time) (srcDone, dstAr
 	if size < 0 {
 		size = 0
 	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
+	n.transfers++
+	n.bytes += int64(size)
 	serUnit := sim.DurationOf(size, u.bw)
 
 	if u.node == dstNode {
@@ -88,48 +86,11 @@ func (u *unitEngine) Transfer(dstNode, size int, ready sim.Time) (srcDone, dstAr
 		_, e := u.res.Acquire(ready, u.overhead+ser)
 		return e, e + n.P.LoopbackLatency + u.extra
 	}
-	if n.willDefer(u.node, dstNode) {
-		// The synchronous form cannot hand back an arrival the barrier
-		// has not computed yet. Only shard-confined workloads run inside
-		// parallel windows, and they book through TransferThen; failing
-		// loudly here keeps any other caller from silently booking a
-		// cross-partition path mid-window.
-		panic("gemini: synchronous Transfer across the shard partition inside a window; use TransferThen")
-	}
 
 	es, ee := u.res.Acquire(ready, u.overhead+serUnit)
 	launch := es + u.overhead
 	dstArrive = n.bookPath(u.node, dstNode, size, serUnit, launch)
 	return ee, dstArrive + u.extra
-}
-
-// TransferThen is Transfer with the arrival delivered through done(arg,
-// dstArrive). Intra-shard (and flat-kernel, and loopback) bookings run
-// done synchronously; a cross-partition booking inside a window books
-// the engine side immediately — the source engine is shard-local — and
-// defers the path booking plus the callback to the window barrier, where
-// reservations apply in deterministic (timestamp, shard, emission)
-// order.
-//
-//simlint:hotpath
-func (u *unitEngine) TransferThen(dstNode, size int, ready sim.Time, done func(any, sim.Time), arg any) (srcDone sim.Time) {
-	n := u.net
-	if size < 0 {
-		size = 0
-	}
-	if u.node == dstNode || !n.willDefer(u.node, dstNode) {
-		srcDone, dstArrive := u.Transfer(dstNode, size, ready)
-		done(arg, dstArrive)
-		return srcDone
-	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
-	serUnit := sim.DurationOf(size, u.bw)
-	es, ee := u.res.Acquire(ready, u.overhead+serUnit)
-	launch := es + u.overhead
-	n.deferPath(int(u.shard), u.node, dstNode, size, serUnit, launch, u.extra, done, arg)
-	return ee
 }
 
 // Get books a read transaction: this engine sends a read request to the
@@ -143,9 +104,8 @@ func (u *unitEngine) Get(target, size int, ready sim.Time) (reqDone, dataArrive 
 	if size < 0 {
 		size = 0
 	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
+	n.transfers++
+	n.bytes += int64(size)
 	serUnit := sim.DurationOf(size, u.bw)
 
 	if u.node == target {
@@ -155,9 +115,6 @@ func (u *unitEngine) Get(target, size int, ready sim.Time) (reqDone, dataArrive 
 		}
 		_, e := u.res.Acquire(ready, u.overhead+ser)
 		return e, e + n.P.LoopbackLatency + u.extra
-	}
-	if n.willDefer(u.node, target) {
-		panic("gemini: synchronous Get across the shard partition inside a window")
 	}
 
 	es, ee := u.res.Acquire(ready, u.overhead+serUnit)

@@ -18,7 +18,7 @@ import (
 // here are thin delegations kept for callers that address engines by
 // (node, Unit).
 type Network struct {
-	Eng  sim.Kernel
+	Eng  *sim.Engine
 	Topo topology.Torus
 	P    Params
 
@@ -30,20 +30,10 @@ type Network struct {
 	// Slab-allocated state: one backing array each for nodes, NIC gap
 	// resources (FMA+BTE interleaved), engine views (4 per node), and
 	// torus links, instead of one heap object per resource.
-	//
-	// Shard-locality (DESIGN.md §6 "Shard-ownership rules" and §2.4
-	// "Shard-local network model"): under the parallel window's node
-	// partition, nodes/nicRes/engines/peNode are indexed by node and so
-	// booked only by the owning shard. links are partitioned too — a
-	// directional link is owned by the shard of its source router, and
-	// slab partitions keep every intra-shard route inside its slab — so
-	// intra-shard transfers book links with zero coordination, while
-	// cross-shard transfers defer their path bookings into the per-shard
-	// reservation outboxes (resv) drained at the window barrier.
 	nodes   []Node
 	nicRes  []sim.GapResource // 2 per node: [2i]=FMA, [2i+1]=BTE
 	engines []unitEngine      // 4 per node, indexed by 4*node+Unit
-	links   []sim.GapResource // indexed by torus link; owned by the source router's shard
+	links   []sim.GapResource // indexed by torus link
 
 	// peNode caches NodeOf (pe → node) so the hot mapping is one slice
 	// load, not a division.
@@ -53,14 +43,10 @@ type Network struct {
 	// indices: routes[src][dst] is built on first booking of the (src,
 	// dst) pair and replayed for every later message — the simulator's
 	// analog of the paper's registration cache. Outer and inner levels
-	// populate lazily; nil means "not yet computed". Fills are race-free
-	// by construction in every run mode: an inline booking's source node
-	// is always owned by the executing shard (cross-shard bookings defer
-	// to the barrier, where no worker runs), so each row routes[src] has
-	// exactly one writer. Single-hop pairs never touch this cache at all
-	// — they resolve against the precomputed nbrRoutes identity table —
-	// which is also what keeps the cache's footprint off the 1M-rank
-	// nearest-neighbor path.
+	// populate lazily; nil means "not yet computed". Single-hop pairs
+	// never touch this cache at all — they resolve against the
+	// precomputed nbrRoutes identity table — which keeps the cache's
+	// footprint off nearest-neighbor traffic.
 	routes [][][]topology.LinkID
 
 	// nbrRoutes is the identity table nbrRoutes[li] == li, filled eagerly
@@ -68,48 +54,9 @@ type Network struct {
 	// it, so neighbor booking performs no cache writes whatsoever.
 	nbrRoutes []topology.LinkID
 
-	// sharded is non-nil when Eng is a sharded kernel: the
-	// deferral predicate, the window-floor resource clock, and the
-	// barrier hook all hang off it.
-	sharded *sim.ShardedEngine
-
-	// resv holds the deferred cross-shard path bookings, one outbox per
-	// emitting shard; deferPath is the single appender and
-	// applyReservations drains every box at the window barrier in
-	// (timestamp, emitting shard, emission index) order.
-	resv        [][]linkResv //simlint:outbox -- per emitting shard: deferPath is the single appender, applyReservations drains at the window barrier
-	resvScratch []resvRef    // barrier-merge ordering scratch, reused across windows
-
-	// tallies holds per-shard transfer statistics (padded to a cache
-	// line); Stats folds them, so counting never crosses the partition.
-	tallies []tally
-}
-
-// tally is one shard's transfer counters, padded so two shards' counters
-// never share a cache line.
-type tally struct {
+	// Transfer statistics (see Stats).
 	transfers uint64
 	bytes     int64
-	_         [48]byte
-}
-
-// linkResv is one deferred booking in a reservation outbox: everything
-// bookPath needs to replay it at the barrier, plus the completion to
-// hand the arrival time to.
-type linkResv struct {
-	src, dst int
-	size     int
-	serUnit  sim.Time
-	launch   sim.Time // booking start; the timestamp key of the barrier merge
-	extra    sim.Time
-	done     func(any, sim.Time)
-	arg      any
-}
-
-// resvRef orders one deferred reservation in the barrier merge.
-type resvRef struct {
-	shard int32
-	idx   int32
 }
 
 // Node is one compute node and its NIC.
@@ -122,10 +69,8 @@ type Node struct {
 }
 
 // NewNetwork builds a machine with the given node count. The torus shape is
-// chosen near-cubic via topology.Shape. The kernel may be a flat
-// sim.Engine or a sharded one — the network schedules through the Kernel
-// surface either way.
-func NewNetwork(eng sim.Kernel, nodes int, p Params) *Network {
+// chosen near-cubic via topology.Shape.
+func NewNetwork(eng *sim.Engine, nodes int, p Params) *Network {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("gemini: NewNetwork with %d nodes", nodes))
 	}
@@ -133,11 +78,6 @@ func NewNetwork(eng sim.Kernel, nodes int, p Params) *Network {
 		panic("gemini: CoresPerNode must be positive")
 	}
 	topo := topology.Shape(nodes)
-	sharded, _ := eng.(*sim.ShardedEngine)
-	shards := 1
-	if sharded != nil {
-		shards = sharded.NumShards()
-	}
 	n := &Network{
 		Eng:       eng,
 		Topo:      topo,
@@ -150,32 +90,13 @@ func NewNetwork(eng sim.Kernel, nodes int, p Params) *Network {
 		peNode:    peNodeSlabs.Get(nodes * p.CoresPerNode),
 		routes:    routeSlabs.Get(nodes),
 		nbrRoutes: nbrSlabs.Get(topo.NumLinks()),
-		tallies:   tallySlabs.Get(shards),
-		sharded:   sharded,
-		resv:      make([][]linkResv, shards),
 	}
 	clock := eng.Now
-	if sharded != nil {
-		// Parallel windows prune resources against the window floor —
-		// the conservative lower bound on any in-flight booking — not the
-		// fired-event clock, which the barrier-applied reservations may
-		// trail by up to the lookahead. Outside RunParallel WindowFloor is
-		// the plain clock, so flat-engine behavior is unchanged.
-		clock = sharded.WindowFloor
-		sharded.OnBarrier(n.applyReservations)
-	}
 	probe := eng.Probe()
 	for li := range n.nbrRoutes {
 		n.nbrRoutes[li] = topology.LinkID(li)
 	}
-	for i := range n.tallies {
-		n.tallies[i] = tally{}
-	}
 	for i := range n.nodes {
-		shard := int32(0)
-		if sharded != nil {
-			shard = int32(sharded.ShardOf(i))
-		}
 		fma := &n.nicRes[2*i]
 		bte := &n.nicRes[2*i+1]
 		sim.InitGapResource(fma, sim.Indexed("node", i, ".fma"), clock)
@@ -199,7 +120,6 @@ func NewNetwork(eng sim.Kernel, nodes int, p Params) *Network {
 				net:      n,
 				name:     sim.Indexed("node", i, unitSuffix[u]),
 				node:     i,
-				shard:    shard,
 				res:      res,
 				overhead: overhead,
 				bw:       bw,
@@ -230,7 +150,6 @@ var (
 	peNodeSlabs mem.SlabCache[int32]
 	routeSlabs  mem.SlabCache[[][]topology.LinkID]
 	nbrSlabs    mem.SlabCache[topology.LinkID]
-	tallySlabs  mem.SlabCache[tally]
 )
 
 // Close releases the network's construction slabs for reuse by a later
@@ -244,9 +163,8 @@ func (n *Network) Close() {
 	peNodeSlabs.Put(n.peNode)
 	routeSlabs.Put(n.routes)
 	nbrSlabs.Put(n.nbrRoutes)
-	tallySlabs.Put(n.tallies)
 	n.nodes, n.nicRes, n.links, n.engines, n.peNode, n.routes = nil, nil, nil, nil, nil, nil
-	n.nbrRoutes, n.tallies = nil, nil
+	n.nbrRoutes = nil
 }
 
 // unitSuffix names each engine view for diagnostics.
@@ -294,13 +212,9 @@ func (n *Network) Node(id int) *Node { return &n.nodes[id] }
 // SameNode reports whether two PEs share a node.
 func (n *Network) SameNode(a, b int) bool { return n.NodeOf(a) == n.NodeOf(b) }
 
-// Stats reports transfer counters, folded across the per-shard tallies.
+// Stats reports transfer counters.
 func (n *Network) Stats() (transfers uint64, bytes int64) {
-	for i := range n.tallies {
-		transfers += n.tallies[i].transfers
-		bytes += n.tallies[i].bytes
-	}
-	return transfers, bytes
+	return n.transfers, n.bytes
 }
 
 // route returns the cached dimension-ordered path from srcNode to dstNode
@@ -312,13 +226,8 @@ func (n *Network) Stats() (transfers uint64, bytes int64) {
 // Single-hop pairs — the entire route population of nearest-neighbor
 // workloads, and the common case everywhere — bypass the cache: their
 // one-link route is a sub-slice of the precomputed nbrRoutes identity
-// table, so neighbor booking writes nothing (race-free trivially) and
-// the per-source cache rows never materialize. At the 1M-rank halo
-// scale that is the difference between ~250KB of identity table and
-// ~14GB of dense rows. Multi-hop fills stay lazy but are race-free by
-// construction: an inline booking's source node is owned by the
-// executing shard (cross-shard bookings replay at the barrier, where no
-// worker runs), so each row has exactly one writer.
+// table, so neighbor booking writes nothing and
+// the per-source cache rows never materialize.
 func (n *Network) route(srcNode, dstNode int) []topology.LinkID {
 	if n.tab.Hops(srcNode, dstNode) == 1 {
 		li := n.tab.NeighborLink(srcNode, dstNode)
@@ -352,16 +261,6 @@ func (n *Network) pathLatency(a, b int) sim.Time {
 // from one node to another with no bandwidth booking.
 func (n *Network) ControlLatency(a, b int) sim.Time { return n.pathLatency(a, b) }
 
-// ShardLookahead reports the conservative cross-shard synchronization
-// bound for a partition of this network's nodes: no event on one shard
-// can cause an event on another sooner than InjectionLatency +
-// minCrossHops × HopLatency — the same per-hop cost structure bookPath
-// charges every message, measured over the partition's boundary adjacency
-// (the minimum is exact for the slab partitions PartitionTorus builds).
-func (n *Network) ShardLookahead(p topology.Partition) sim.Time {
-	return n.P.ShardLookahead(p.MinCrossHops())
-}
-
 // Transfer books a data movement of size bytes from srcNode to dstNode on
 // the given unit, ready to start no earlier than `ready`. See
 // unitEngine.Transfer for the booking semantics.
@@ -375,112 +274,8 @@ func (n *Network) Get(requester, target, size int, u Unit, ready sim.Time) (reqD
 	return n.engine(requester, u).Get(target, size, ready)
 }
 
-// willDefer reports whether a transfer between the two nodes booked right
-// now would defer its path booking (and so its arrival callback) to the
-// window barrier: true only inside a parallel window for a pair that
-// crosses the shard partition.
-func (n *Network) willDefer(a, b int) bool {
-	return n.sharded != nil && n.sharded.Deferring() &&
-		n.sharded.ShardOf(a) != n.sharded.ShardOf(b)
-}
-
-// TransferThen books like Transfer, delivering the destination arrival
-// through done(arg, dstArrive): synchronously unless the pair crosses the
-// shard partition inside a parallel window, in which case the path booking
-// and the callback are deferred to the window barrier. It is the booking
-// form of shard-confined workloads run under RunParallel; the machine
-// stack never opens a window and books through Transfer/Get. See
-// unitEngine.TransferThen.
-func (n *Network) TransferThen(srcNode, dstNode, size int, u Unit, ready sim.Time, done func(any, sim.Time), arg any) (srcDone sim.Time) {
-	return n.engine(srcNode, u).TransferThen(dstNode, size, ready, done, arg)
-}
-
-// deferPath queues one cross-shard path booking on the emitting shard's
-// reservation outbox. It is the single appender of resv — the
-// shard-ownership discipline's outbox-transfer verb for the network
-// model, the analogue of Shard.Send for link bookings. The conservative
-// lookahead guarantees the arrival computed at the barrier lands at or
-// after the window horizon, so the deferred completion can never affect
-// an event that already fired.
-//
-//simlint:outbox-transfer -- cross-shard reservation hand-off: each worker appends only to its own shard's box; the barrier drains them after workers stop
-func (n *Network) deferPath(emit, srcNode, dstNode, size int, serUnit, launch, extra sim.Time, done func(any, sim.Time), arg any) {
-	n.resv[emit] = append(n.resv[emit], linkResv{
-		src: srcNode, dst: dstNode, size: size,
-		serUnit: serUnit, launch: launch, extra: extra,
-		done: done, arg: arg,
-	})
-}
-
-// applyReservations is the window-barrier hook: it drains every shard's
-// reservation outbox in deterministic (timestamp, emitting shard,
-// emission index) order, books each deferred path through the same
-// bookPath the inline path uses, and fires the completions with the
-// resulting arrivals. It runs on the coordinating goroutine after every
-// worker has stopped, so it may touch links of every shard; bookings it
-// applies start at or after the window floor (launch >= the emitting
-// event's time >= the window's minimum event time), which is exactly the
-// prune bound the WindowFloor resource clock maintains.
-//
-//simlint:outbox-transfer -- barrier-side drain of the reservation outboxes: runs between windows on the coordinator
-func (n *Network) applyReservations() {
-	refs := n.resvScratch[:0]
-	for s := range n.resv {
-		for i := range n.resv[s] {
-			refs = append(refs, resvRef{shard: int32(s), idx: int32(i)})
-		}
-	}
-	if len(refs) > 0 {
-		sort.Slice(refs, func(i, j int) bool {
-			a, b := refs[i], refs[j]
-			ra, rb := &n.resv[a.shard][a.idx], &n.resv[b.shard][b.idx]
-			if ra.launch != rb.launch {
-				return ra.launch < rb.launch
-			}
-			if a.shard != b.shard {
-				return a.shard < b.shard
-			}
-			return a.idx < b.idx
-		})
-		for _, ref := range refs {
-			r := &n.resv[ref.shard][ref.idx]
-			r.done(r.arg, n.bookPath(r.src, r.dst, r.size, r.serUnit, r.launch)+r.extra)
-		}
-		for s := range n.resv {
-			box := n.resv[s]
-			for i := range box {
-				box[i] = linkResv{}
-			}
-			n.resv[s] = box[:0]
-		}
-	}
-	n.resvScratch = refs[:0]
-}
-
 // NumLinks reports how many directional torus links the machine has.
 func (n *Network) NumLinks() int { return len(n.links) }
-
-// LinkOccupancy is one torus link's booking fingerprint: total busy time,
-// the end of its last booked interval, and how many bookings it took. Two
-// runs with identical fingerprints on every link carried the same traffic
-// with the same wire timings.
-type LinkOccupancy struct {
-	Busy     sim.Time
-	FreeAt   sim.Time
-	Acquires uint64
-}
-
-// LinkOccupancies appends every torus link's occupancy fingerprint to dst
-// in link order — the observable the shard-partition invariance property
-// tests compare between the flat engine and the sharded kernel's lockstep
-// oracle and parallel windows.
-func (n *Network) LinkOccupancies(dst []LinkOccupancy) []LinkOccupancy {
-	for i := range n.links {
-		r := &n.links[i]
-		dst = append(dst, LinkOccupancy{Busy: r.BusyTotal(), FreeAt: r.FreeAt(), Acquires: r.Acquires()})
-	}
-	return dst
-}
 
 // FlapLink books a transient outage window [at, at+dur) on one torus link:
 // messages routed across it during the window queue behind the outage

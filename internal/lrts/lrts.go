@@ -51,7 +51,7 @@ type BufReleaser interface {
 // machine geometry, per-PE CPU resources for progress-engine work, message
 // delivery into the scheduler, and overhead attribution for tracing.
 type Host interface {
-	Eng() sim.Kernel
+	Eng() *sim.Engine
 	NumPEs() int
 	// CPU returns the serially reusable processor resource of a PE; machine
 	// layers book receive-side protocol work on it.

@@ -13,12 +13,15 @@ import "sync/atomic"
 
 // live counts pooled descriptors currently acquired across every FreeList
 // in the process. It is the one process-global the otherwise goroutine-
-// confined free lists share, so it is atomic: independent simulations may
-// run concurrently (the bench harness's point workers, the sharded
-// kernel's window workers), and a torn counter would fail the leak gate
-// spuriously. Each FreeList itself stays single-owner — only the shared
-// diagnostic total needs the atomics. The leak test asserts this returns
-// to its pre-run value after every experiment drains.
+// confined free lists share, so it is atomic: independent simulations run
+// concurrently on the bench harness's point workers (bench.Options.Workers),
+// and a torn counter would fail the leak gate spuriously. Each FreeList
+// itself stays single-owner — only the shared diagnostic total needs the
+// atomics. No analyzer checks that discipline; the CI "Race gate" step
+// (`go test -race ./internal/...`) does, through TestWorkerCountInvariance,
+// which runs point workers concurrently and reports a DATA RACE if the
+// counter goes plain. The leak test asserts this returns to its pre-run
+// value after every experiment drains.
 var live atomic.Int64
 
 // LiveDescriptors reports how many pooled descriptors are currently
@@ -65,7 +68,7 @@ func (f *FreeList[T]) Get() *T {
 		f.free = f.free[:n-1]
 		return x
 	}
-	//simlint:allow hotpathalloc -- pool miss path: allocates only while the free list is empty; steady state recycles (machine layers run coordinator-side; the only cross-shard cell here is the live counter, which is atomic)
+	//simlint:allow hotpathalloc -- pool miss path: allocates only while the free list is empty; steady state recycles (each list belongs to one simulation; the only cell bench point workers share is the live counter, which is atomic and held to that by the CI Race gate step)
 	return new(T)
 }
 

@@ -81,7 +81,7 @@ func (m Model) Latency() sim.Time { return m.NotifyLatency }
 // layer books on PE resources — so Ready is the identity and Transfer
 // books nothing: it reports the notification flight time.
 type Loopback struct {
-	eng       sim.Kernel
+	eng       *sim.Engine
 	m         Model
 	name      sim.Name
 	transfers uint64
@@ -90,7 +90,7 @@ type Loopback struct {
 var _ sim.NICEngine = (*Loopback)(nil)
 
 // NewLoopback returns the pxshm engine for one node's shared segment.
-func NewLoopback(eng sim.Kernel, m Model, name sim.Name) *Loopback {
+func NewLoopback(eng *sim.Engine, m Model, name sim.Name) *Loopback {
 	return &Loopback{eng: eng, m: m, name: name}
 }
 

@@ -156,7 +156,7 @@ func (e *Engine) acquire(t Time) *Event {
 		e.free = ev.next
 		ev.next = nil
 	} else {
-		//simlint:allow hotpathalloc -- event pool miss path: allocates only while the free list is empty; steady state recycles (the list is per-Engine, so each shard worker recycles its own pool — no cross-shard aliasing)
+		//simlint:allow hotpathalloc -- event pool miss path: allocates only while the free list is empty; steady state recycles (the list is per-Engine, and an Engine runs on one goroutine, so concurrent bench point workers never share a pool)
 		ev = &Event{eng: e}
 	}
 	ev.at = t
@@ -165,22 +165,6 @@ func (e *Engine) acquire(t Time) *Event {
 	e.seq++
 	e.live++
 	return ev
-}
-
-// peek reports the ordering key of the next live event without firing it,
-// reclaiming any cancelled records sitting on top of the heap. ok is false
-// when no live events remain.
-func (e *Engine) peek() (at Time, seq uint64, ok bool) {
-	for len(e.heap) > 0 {
-		top := &e.heap[0]
-		if top.ev.state != evCancelled {
-			return top.at, top.seq, true
-		}
-		en := e.popTop()
-		e.cancelled--
-		e.release(en.ev)
-	}
-	return 0, 0, false
 }
 
 // release returns a record to the pool.
@@ -256,9 +240,6 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	}
 	return e.fired - start
 }
-
-// RunFor is RunUntil(Now()+d).
-func (e *Engine) RunFor(d Time) uint64 { return e.RunUntil(e.now + d) }
 
 // compact evicts cancelled entries and re-heapifies. Rebuilding with
 // Floyd's algorithm is O(n) and the (time, sequence) total order fully

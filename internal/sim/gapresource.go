@@ -152,7 +152,7 @@ func (r *GapResource) insert(i int, s, e Time) {
 			// or into a larger buffer when nothing is dead.
 			live, dst := r.buf[r.head:], r.buf
 			if r.head == 0 {
-				//simlint:allow hotpathalloc -- interval run growth: the buffer doubles up to the resource's peak live interval count and steady state reuses it (per-GapResource, so per-NIC and shard-local in the parallel window)
+				//simlint:allow hotpathalloc -- interval run growth: the buffer doubles up to the resource's peak live interval count and steady state reuses it (per-GapResource, so per-NIC or per-link)
 				dst = make([]span, 2*len(live)+4)
 			}
 			i -= r.head

@@ -9,9 +9,8 @@ import "testing"
 // must agree on start and end, and the resource's BusyTotal, Acquires
 // and FreeAt must match the reference's ground truth. The clock only
 // moves forward and requests never ask for time before it — the contract
-// that lets the resource prune dead intervals (a sharded kernel's
-// WindowFloor clock is exactly such a monotone lower bound) — so pruning
-// runs throughout while the reference keeps every interval. The seed
+// that lets the resource prune dead intervals — so pruning runs
+// throughout while the reference keeps every interval. The seed
 // corpus covers reclaiming the dead prefix of a full run before a
 // mid-run insert (compact-dead-prefix), a booking that merges both
 // neighbours (merge-both-neighbours) and an interval ending exactly at

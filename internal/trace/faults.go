@@ -60,7 +60,7 @@ func (f *FaultTimeline) Reset() { f.notes = f.notes[:0] }
 //	    1500 failover
 //
 // Deterministic runs render identical timelines, so the output diffs
-// cleanly across seeds and shard counts.
+// cleanly across runs.
 func (f *FaultTimeline) Render() string {
 	var b strings.Builder
 	for _, note := range f.notes {

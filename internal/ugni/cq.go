@@ -86,7 +86,7 @@ type Event struct {
 // order, mirroring GNI_CqGetEvent.
 type CQ struct {
 	name sim.Name
-	eng  sim.Kernel
+	eng  *sim.Engine
 	g    *GNI // owner; carries the shared delivery-node pool
 	idx  int32
 	q    []Event
